@@ -260,7 +260,7 @@ class Archive:
         self._clock = clock if clock is not None else LogicalClock()
         self._dictionary = dictionary
         self._lock = threading.Lock()
-        self._uids: list[str] = []
+        self._uids: dict[str, None] = {}  # store order; O(1) membership
         self._last_digest = ZERO_DIGEST
         self._reload()
 
@@ -276,7 +276,7 @@ class Archive:
 
     def _reload(self) -> None:
         """Rebuild the in-memory index from chain.log (store order)."""
-        self._uids = []
+        self._uids = {}
         self._last_digest = ZERO_DIGEST
         chain_path = self._chain_path()
         if not chain_path.exists():
@@ -286,7 +286,7 @@ class Archive:
                 record = parse_chain_line(line)
             except ValueError:
                 break  # verify_chain reports the damage; index stops here
-            self._uids.append(record.object_uid)
+            self._uids[record.object_uid] = None
             self._last_digest = digest(record.canonical_bytes())
 
     def store(self, obj: DataObject) -> str:
@@ -318,7 +318,7 @@ class Archive:
                 temp.unlink(missing_ok=True)
                 raise
             temp.rename(path)
-            self._uids.append(uid)
+            self._uids[uid] = None
             self._last_digest = digest(record.canonical_bytes())
         return uid
 

@@ -19,6 +19,7 @@ from .errors import Nde4Error, ValidationFailed
 from .framing import Channel, encode_frame
 from .identity import InstanceId
 from .messages import (
+    TERMINAL_STATES,
     InspectionOrder,
     OrderState,
     ReportedValues,
@@ -144,6 +145,8 @@ class OrdersBus:
         self._procedures = {p.procedure_id: p for p in procedures}
         self._clock = clock if clock is not None else LogicalClock()
         self._orders: dict[str, _OrderRecord] = {}
+        # not yet REPORTED or REJECTED: the only records a worklist can hold
+        self._open: dict[str, _OrderRecord] = {}
         self._subscriptions: list[Subscription] = []
         self._taps: list[Callable[[bytes], None]] = []
         self._seq = 0
@@ -188,9 +191,9 @@ class OrdersBus:
         with self._lock:
             if order.order_id in self._orders:
                 raise DuplicateOrder(order.order_id)
-            self._orders[order.order_id] = _OrderRecord(
-                order, OrderState.QUEUED, assigned=order.station
-            )
+            record = _OrderRecord(order, OrderState.QUEUED, assigned=order.station)
+            self._orders[order.order_id] = record
+            self._open[order.order_id] = record
         self.publish_status(
             StatusEvent(order.order_id, OrderState.QUEUED, self._clock.now_text()),
             initial=True,
@@ -237,9 +240,7 @@ class OrdersBus:
         capabilities = station_methods(self._registry, station)
         with self._lock:
             candidates = []
-            for record in self._orders.values():
-                if record.state in (OrderState.REPORTED, OrderState.REJECTED):
-                    continue
+            for record in self._open.values():
                 if record.assigned is not None:
                     if record.assigned == station:
                         candidates.append(record.order)
@@ -286,6 +287,8 @@ class OrdersBus:
                 )
             record.state = event.state
             record.history.append(event)
+            if event.state in TERMINAL_STATES:
+                self._open.pop(event.order_id, None)
             self._seq += 1
             seq = self._seq
             receivers = [

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import threading
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field, replace
 
 from .errors import Nde4Error
@@ -96,11 +97,11 @@ class Manifest:
 def validate_manifest(
     manifest: Manifest,
     dictionary: Dictionary = DICT_V1,
-    registered: set[InstanceId] | None = None,
+    registered: Container[InstanceId] | None = None,
 ) -> ValidationReport:
     """Structural findings for one manifest.
 
-    With `registered` given, child IDs outside that set are flagged
+    With `registered` given, child IDs not in it are flagged
     DanglingChild (informational: supply chains register shells in any
     order, so a dangling child is deferred, not wrong). Without it the
     check is skipped entirely.
@@ -188,32 +189,29 @@ class Registry:
 
     def validate(self, manifest: Manifest) -> ValidationReport:
         with self._lock:
-            registered = set(self._shells)
-        return validate_manifest(manifest, self._dictionary, registered)
+            return validate_manifest(manifest, self._dictionary, self._shells)
 
     def register_shell(self, manifest: Manifest) -> InstanceId:
         with self._lock:
-            report = validate_manifest(
-                manifest, self._dictionary, set(self._shells)
-            )
+            report = validate_manifest(manifest, self._dictionary, self._shells)
             if any(f.severity == SEVERITY_ERROR for f in report.findings):
                 raise InvalidManifest(report)
             instance = manifest.header.asset_instance_id
             assert instance is not None  # MissingHeaderId is blocking
             if instance in self._shells:
                 raise DuplicateInstance(f"already registered: {instance}")
-            self._shells[instance] = manifest
-            self._order.append(instance)
-            # declared children may have completed a loop through shells
-            # that named this instance before it existed
-            cycle = self._find_cycle()
-            if cycle is not None:
-                del self._shells[instance]
-                self._order.pop()
+            # declared children may complete a loop through shells that
+            # named this instance before it existed; the graph was acyclic,
+            # so any new cycle runs through this instance. Checked before
+            # anything is stored, so a refusal leaves nothing to roll back.
+            path = self._path(manifest.body.child_shells, instance)
+            if path is not None:
                 raise CycleDetected(
                     "declared children close a cycle: "
-                    + " -> ".join(str(i) for i in cycle)
+                    + " -> ".join(str(i) for i in [instance, *path])
                 )
+            self._shells[instance] = manifest
+            self._order.append(instance)
             return instance
 
     def resolve(self, instance: InstanceId) -> Manifest:
@@ -231,10 +229,10 @@ class Registry:
             manifest = self._shells[parent]
             if child in manifest.body.child_shells:
                 return  # edge already present
-            if self._reaches(child, parent):
-                raise CycleDetected(f"{parent} is reachable from {child}")
             if parent == child:
                 raise CycleDetected(f"self-nesting: {parent}")
+            if self._path((child,), parent) is not None:
+                raise CycleDetected(f"{parent} is reachable from {child}")
             self._shells[parent] = manifest.with_child(child)
 
     def list_shells(self) -> tuple[InstanceId, ...]:
@@ -276,46 +274,34 @@ class Registry:
             return tuple(out)
 
     # caller holds the lock
-    def _reaches(self, start: InstanceId, goal: InstanceId) -> bool:
-        stack = [start]
-        seen: set[InstanceId] = set()
+    def _path(
+        self, starts: Iterable[InstanceId], goal: InstanceId
+    ) -> list[InstanceId] | None:
+        """Child-edge path from one of `starts` to `goal`, or None.
+
+        Iterative, so depth is bounded by memory, not the recursion limit.
+        Unregistered shells are dangling children: no edges leave them yet.
+        """
+        came_from: dict[InstanceId, InstanceId | None] = {}
+        stack: list[InstanceId] = []
+        for start in starts:
+            if start not in came_from:
+                came_from[start] = None
+                stack.append(start)
         while stack:
             node = stack.pop()
             if node == goal:
-                return True
-            if node in seen or node not in self._shells:
+                path = [node]
+                while (prev := came_from[path[-1]]) is not None:
+                    path.append(prev)
+                return path[::-1]
+            manifest = self._shells.get(node)
+            if manifest is None:
                 continue
-            seen.add(node)
-            stack.extend(self._shells[node].body.child_shells)
-        return False
-
-    # caller holds the lock; returns one cycle path or None
-    def _find_cycle(self) -> list[InstanceId] | None:
-        WHITE, GREY, BLACK = 0, 1, 2
-        color: dict[InstanceId, int] = {i: WHITE for i in self._shells}
-        path: list[InstanceId] = []
-
-        def visit(node: InstanceId) -> list[InstanceId] | None:
-            color[node] = GREY
-            path.append(node)
-            for child in self._shells[node].body.child_shells:
-                if child not in self._shells:
-                    continue  # dangling, no edge yet
-                if color[child] == GREY:
-                    return path[path.index(child) :] + [child]
-                if color[child] == WHITE:
-                    found = visit(child)
-                    if found is not None:
-                        return found
-            color[node] = BLACK
-            path.pop()
-            return None
-
-        for node in self._shells:
-            if color[node] == WHITE:
-                found = visit(node)
-                if found is not None:
-                    return found
+            for child in manifest.body.child_shells:
+                if child not in came_from:
+                    came_from[child] = node
+                    stack.append(child)
         return None
 
 

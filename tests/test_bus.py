@@ -294,3 +294,28 @@ def test_taps_see_wire_frames(bus):
 def test_kpis_absent_until_reported(bus):
     bus.submit_order(order())
     assert bus.kpis("ORD-7") is None
+
+
+def test_terminal_orders_leave_every_worklist(bus, store, clock):
+    # ORD-1 goes to REPORTED through report_values, ORD-2 is REJECTED
+    # while still unassigned, ORD-3 stays open
+    drive_to_archived(bus, store, clock, order_id="ORD-1", refs=("obj-1",))
+    bus.report_values(
+        ReportedValues("ORD-1", Verdict.ACCEPT, 0, archived_refs=("obj-1",))
+    )
+    bus.submit_order(order(order_id="ORD-2"))
+    bus.publish_status(StatusEvent("ORD-2", OrderState.REJECTED, clock.now_text()))
+    bus.submit_order(order(order_id="ORD-3"))
+    for station in (station_id("unit-1"), station_id("unit-2")):
+        assert [o.order_id for o in bus.poll_worklist(station)] == ["ORD-3"]
+    # the closed orders are gone from worklists only
+    assert bus.order_ids() == ("ORD-1", "ORD-2", "ORD-3")
+    assert bus.order_state("ORD-1") == OrderState.REPORTED
+    assert bus.order_state("ORD-2") == OrderState.REJECTED
+    assert bus.history("ORD-1")[-1].state == OrderState.REPORTED
+    assert [e.state for e in bus.history("ORD-2")] == [
+        OrderState.QUEUED,
+        OrderState.REJECTED,
+    ]
+    assert bus.kpis("ORD-1").archived_refs == ("obj-1",)
+    assert bus.kpis("ORD-2") is None

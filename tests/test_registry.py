@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -153,6 +154,117 @@ def test_declared_children_can_complete_a_cycle_at_register():
         )
     # rollback left the registry consistent
     assert registry.list_shells() == (a,)
+
+
+def chain_shell(serial: int, child: int | None) -> Manifest:
+    tid = TypeId("acme", "link")
+    children = (InstanceId(tid, str(child)),) if child is not None else ()
+    return Manifest(
+        ManifestHeader(tid, InstanceId(tid, str(serial))),
+        ManifestBody(child_shells=children),
+    )
+
+
+def test_deep_declared_chain_registers_and_closing_link_is_refused():
+    registry = Registry()
+    depth = 5000
+    for n in range(depth):
+        registry.register_shell(chain_shell(n, n + 1))  # n+1 dangles until next
+    before = registry.list_shells()
+    assert len(before) == depth
+    # the last link names the head: a cycle 5001 shells long
+    with pytest.raises(CycleDetected):
+        registry.register_shell(chain_shell(depth, 0))
+    assert registry.list_shells() == before
+    tid = TypeId("acme", "link")
+    with pytest.raises(UnknownShell):
+        registry.resolve(InstanceId(tid, str(depth)))
+    assert len(registry.descendants(InstanceId(tid, "0"))) == depth - 1
+
+
+def test_register_after_deep_nest_chain():
+    registry = Registry()
+    links = [registry.register_shell(chain_shell(n, None)) for n in range(1200)]
+    for parent, child in zip(links, links[1:]):
+        registry.nest(parent, child)
+    with pytest.raises(CycleDetected):
+        registry.nest(links[-1], links[0])
+    unrelated = registry.register_shell(shell("acme", "ut-scanner", "u1"))
+    assert registry.list_shells() == (*links, unrelated)
+
+
+def whole_graph_cycle(graph: dict[str, tuple[str, ...]]) -> bool:
+    """Reference check: colour DFS over every registered shell."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = {node: WHITE for node in graph}
+
+    def visit(node: str) -> bool:
+        color[node] = GREY
+        for child in graph[node]:
+            if child not in graph:
+                continue  # dangling, no edge yet
+            if color[child] == GREY:
+                return True
+            if color[child] == WHITE and visit(child):
+                return True
+        color[node] = BLACK
+        return False
+
+    return any(color[node] == WHITE and visit(node) for node in graph)
+
+
+def test_incremental_cycle_check_matches_whole_graph_oracle():
+    rng = random.Random(20160401)
+    tid = TypeId("acme", "part")
+    rejected = nested = 0
+    for _ in range(300):
+        names = [f"p{k}" for k in range(rng.randrange(2, 14))]
+        rng.shuffle(names)
+        ring = names[: rng.randrange(2, len(names) + 1)]
+        successor = {a: b for a, b in zip(ring, ring[1:] + ring[:1])}
+        registry = Registry()
+        graph: dict[str, tuple[str, ...]] = {}
+        for name in rng.sample(names, len(names)):
+            # random children: registered or dangling, shared (diamonds),
+            # and sometimes the next shell on a ring that a late link closes
+            pool = [n for n in names if n != name]
+            children = rng.sample(pool, rng.randrange(0, min(3, len(pool)) + 1))
+            on_ring = name in successor and successor[name] not in children
+            if on_ring and rng.random() < 0.7:
+                children.append(successor[name])
+            manifest = Manifest(
+                ManifestHeader(tid, InstanceId(tid, name)),
+                ManifestBody(
+                    child_shells=tuple(InstanceId(tid, c) for c in children)
+                ),
+            )
+            expect_cycle = whole_graph_cycle({**graph, name: tuple(children)})
+            try:
+                registry.register_shell(manifest)
+            except CycleDetected:
+                assert expect_cycle, (graph, name, children)
+                rejected += 1
+            else:
+                assert not expect_cycle, (graph, name, children)
+                graph[name] = tuple(children)
+            assert [i.serial for i in registry.list_shells()] == list(graph)
+            # an extra nest() edge between two registered shells
+            if len(graph) >= 2 and rng.random() < 0.3:
+                parent, child = rng.sample(list(graph), 2)
+                if child in graph[parent]:
+                    continue
+                expect_cycle = whole_graph_cycle(
+                    {**graph, parent: graph[parent] + (child,)}
+                )
+                try:
+                    registry.nest(InstanceId(tid, parent), InstanceId(tid, child))
+                except CycleDetected:
+                    assert expect_cycle, (graph, parent, child)
+                else:
+                    assert not expect_cycle, (graph, parent, child)
+                    graph[parent] += (child,)
+                    nested += 1
+    assert rejected > 50 and nested > 50  # both outcomes were exercised
 
 
 def test_diamond_nesting_is_legal():
