@@ -16,7 +16,6 @@ public surface, by design.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import struct
 import threading
@@ -24,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import Nde4Error, ValidationFailed
+from .framing import OP_ERROR, canonical_json, dispatch, json_object
 from .semantics import (
     DICT_V1,
     TAG_COMPONENT_SERIAL,
@@ -51,7 +51,7 @@ OP_STORE = 0x01
 OP_FETCH = 0x02
 OP_QUERY = 0x03
 OP_RESULT = 0x04
-OP_ERROR = 0x7F
+# OP_ERROR (0x7F) is the framing module's, re-exported here
 
 
 class NonCanonicalOrder(Nde4Error):
@@ -426,34 +426,22 @@ class ArchiveWire:
         self._archive = archive
 
     def request(self, payload: bytes) -> bytes:
-        if not payload:
-            return _wire_error("MalformedRequest", "empty payload")
-        opcode, body = payload[0], payload[1:]
-        try:
-            if opcode == OP_STORE:
-                uid = self._archive.store(decode_object(body))
-                return bytes([OP_RESULT]) + _wire_json({"uid": uid})
-            if opcode == OP_FETCH:
-                uid = json.loads(body.decode("utf-8"))["uid"]
-                return bytes([OP_RESULT]) + self._archive.fetch_bytes(uid)
-            if opcode == OP_QUERY:
-                criteria = json.loads(body.decode("utf-8"))
-                uids = self._archive.query(
-                    order_id=criteria.get("orderId"),
-                    component_serial=criteria.get("componentSerial"),
-                    method=criteria.get("method"),
-                )
-                return bytes([OP_RESULT]) + _wire_json({"uids": list(uids)})
-        except Nde4Error as exc:
-            return _wire_error(type(exc).__name__, str(exc))
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
-            return _wire_error("MalformedRequest", str(exc))
-        return _wire_error("MalformedRequest", f"unknown opcode {opcode:#x}")
+        handlers = {OP_STORE: self._store, OP_FETCH: self._fetch, OP_QUERY: self._query}
+        return dispatch(handlers, payload)
 
+    def _store(self, body: bytes) -> bytes:
+        uid = self._archive.store(decode_object(body))
+        return bytes([OP_RESULT]) + canonical_json({"uid": uid})
 
-def _wire_json(document: dict) -> bytes:
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    def _fetch(self, body: bytes) -> bytes:
+        uid = json_object(body)["uid"]
+        return bytes([OP_RESULT]) + self._archive.fetch_bytes(uid)
 
-
-def _wire_error(code: str, detail: str) -> bytes:
-    return bytes([OP_ERROR]) + _wire_json({"code": code, "detail": detail})
+    def _query(self, body: bytes) -> bytes:
+        criteria = json_object(body)
+        uids = self._archive.query(
+            order_id=criteria.get("orderId"),
+            component_serial=criteria.get("componentSerial"),
+            method=criteria.get("method"),
+        )
+        return bytes([OP_RESULT]) + canonical_json({"uids": list(uids)})

@@ -6,13 +6,19 @@ channel; bytes 6-9 payload length, little-endian u32; then the payload.
 The ORDERS channel refuses payloads over 16 MiB (16,777,216 bytes,
 boundary inclusive) at encode time AND decode time: bulk data belongs on
 the archive channel, and silently chunking would defeat that routing.
+
+ARCHIVE and SOVEREIGN payloads share one request/response convention,
+implemented once here: 1-byte opcode + body, canonical JSON, and failures
+answered as ERROR + {"code", "detail"}.
 """
 
 from __future__ import annotations
 
+import json
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import Callable, Mapping
 
 from .errors import Nde4Error
 
@@ -20,6 +26,11 @@ MAGIC = b"NDE4"
 VERSION = 0x01
 HEADER_SIZE = 10
 ORDERS_PAYLOAD_LIMIT = 16 * 2**20  # inclusive
+
+# error opcode shared by the ARCHIVE and SOVEREIGN channels
+OP_ERROR = 0x7F
+
+Handler = Callable[[bytes], bytes]  # request payload -> response payload
 
 
 class Channel(IntEnum):
@@ -87,3 +98,53 @@ def decode_frame(data: bytes) -> Frame:
             f"ORDERS payload {length} bytes exceeds cap {ORDERS_PAYLOAD_LIMIT}"
         )
     return Frame(channel, data[HEADER_SIZE:])
+
+
+# --- canonical JSON and the ARCHIVE/SOVEREIGN request/response convention ---
+
+def canonical_json(document) -> bytes:
+    """The one byte form of a JSON document: sorted keys, no whitespace."""
+    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def json_object(body: bytes) -> dict:
+    """Decode a UTF-8 JSON object body; ValueError for anything else."""
+    document = json.loads(body.decode("utf-8"))
+    if not isinstance(document, dict):
+        raise ValueError(f"expected a JSON object, got {type(document).__name__}")
+    return document
+
+
+def error_payload(code: str, detail: str, opcode: int = OP_ERROR) -> bytes:
+    return bytes([opcode]) + canonical_json({"code": code, "detail": detail})
+
+
+def dispatch(handlers: Mapping[int, Handler], payload: bytes) -> bytes:
+    """Answer one request payload through the handler for its opcode.
+
+    A handler takes the body and returns the response payload. An Nde4Error
+    it raises answers ERROR with the error's class name as code; an empty
+    payload, an unknown opcode, or a body that fails to decode, lacks a key
+    or holds a value of the wrong type answers ERROR "MalformedRequest".
+    """
+    if not payload:
+        return error_payload("MalformedRequest", "empty payload")
+    handler = handlers.get(payload[0])
+    if handler is None:
+        return error_payload("MalformedRequest", f"unknown opcode {payload[0]:#x}")
+    try:
+        return handler(payload[1:])
+    except Nde4Error as exc:
+        return error_payload(type(exc).__name__, str(exc))
+    except (KeyError, TypeError, ValueError) as exc:
+        return error_payload("MalformedRequest", str(exc))
+
+
+def serve_frame(channel: Channel, request: Handler, frame_bytes: bytes) -> bytes:
+    """Answer a request frame through `request` (payload -> payload), on
+    `channel`. A frame that does not decode raises."""
+    frame = decode_frame(frame_bytes)
+    if frame.channel == channel:
+        return encode_frame(channel, request(frame.payload))
+    detail = f"not a {channel.name.lower()} request"
+    return encode_frame(channel, error_payload("MalformedRequest", detail))

@@ -17,7 +17,7 @@ from enum import Enum
 from .archive import Archive, Element
 from .bus import DanglingArchiveRef, Procedure
 from .errors import Nde4Error
-from .framing import ORDERS_PAYLOAD_LIMIT
+from .framing import ORDERS_PAYLOAD_LIMIT, canonical_json
 from .messages import InspectionOrder, ReportedValues, Verdict
 from .semantics import (
     TAG_COMPONENT_SERIAL,
@@ -129,9 +129,7 @@ def order_to_archive_work(
         else:
             elements[code] = text.encode("utf-8")
     if leftovers:
-        elements[UNMAPPED_BLOB_TAG] = json.dumps(
-            leftovers, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        elements[UNMAPPED_BLOB_TAG] = canonical_json(leftovers)
     return tuple(Element(code, elements[code]) for code in sorted(elements))
 
 

@@ -7,12 +7,12 @@ document field name here is normative; see docs/FORMATS.md.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
 
 from .errors import Nde4Error
+from .framing import canonical_json, json_object
 from .identity import InstanceId, TypeId, parse_id
 from .semantics import is_id_token
 from .timebase import is_valid_datetime
@@ -139,10 +139,6 @@ def validate_report(rv: ReportedValues) -> tuple[str, ...]:
     return tuple(problems)
 
 
-def _dump(document: dict) -> bytes:
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def encode_message(message: Message) -> bytes:
     if isinstance(message, InspectionOrder):
         document = {
@@ -179,7 +175,7 @@ def encode_message(message: Message) -> bytes:
         document = {"kind": "error", "code": message.code, "detail": message.detail}
     else:
         raise TypeError(f"not a message: {type(message).__name__}")
-    return _dump(document)
+    return canonical_json(document)
 
 
 _CORE_REPORT_KEYS = {
@@ -189,11 +185,9 @@ _CORE_REPORT_KEYS = {
 
 def decode_message(payload: bytes) -> Message:
     try:
-        document = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedMessage(f"not a JSON document: {exc}") from exc
-    if not isinstance(document, dict):
-        raise MalformedMessage("message document must be an object")
+        document = json_object(payload)
+    except ValueError as exc:
+        raise MalformedMessage(f"bad message document: {exc}") from exc
     kind = document.get("kind")
     try:
         if kind == "order":

@@ -25,7 +25,7 @@ from typing import Callable, Iterable
 from .archive import Archive, DataObject, Element
 from .bus import OrdersBus, Procedure, UnknownStation, WrongState as BusWrongState
 from .errors import Nde4Error
-from .framing import Channel, OversizedPayload, decode_frame
+from .framing import Channel, OversizedPayload, canonical_json, decode_frame
 from .gateway import (
     Indication,
     archive_result_to_kpis,
@@ -37,7 +37,6 @@ from .identity import InstanceId, TypeId, is_name_token, is_serial_token, parse_
 from .messages import (
     InspectionOrder,
     OrderState,
-    ReportedValues,
     StatusEvent,
     encode_message,
 )
@@ -78,6 +77,7 @@ from .semantics import (
     TagCode,
     encode_value,
     DICT_V1,
+    METHOD_CODES,
     interpret,
 )
 from .sovereignty import (
@@ -87,6 +87,7 @@ from .sovereignty import (
     PolicyExhausted,
     PolicyExpired,
     UsagePolicy,
+    policy_from_wire,
 )
 from .timebase import LogicalClock, format_tick
 
@@ -227,15 +228,6 @@ class ScenarioConfig:
 
 # --- config loading -----------------------------------------------------------
 
-def _policy_from_config(document: dict) -> UsagePolicy:
-    return UsagePolicy(
-        max_reads=document.get("maxReads"),
-        expires=document.get("expires"),
-        allow_forward=bool(document.get("allowForward", False)),
-        purpose=document.get("purpose", "inspection"),
-    )
-
-
 def _required_cells_from_config(entries) -> frozenset[RamiCoordinate]:
     collected: set[RamiCoordinate] = set()
     for entry in entries:
@@ -331,14 +323,14 @@ def load_scenario(text: str, seed_override: int | None = None) -> ScenarioConfig
                 provider=exchange_document["provider"],
                 consumer=exchange_document["consumer"],
                 order_id=exchange_document["orderId"],
-                policy=_policy_from_config(exchange_document.get("policy", {})),
+                policy=policy_from_wire(exchange_document.get("policy", {})),
                 attempts=int(exchange_document.get("attempts", 1)),
                 forwards=tuple(
                     ForwardPlan(
                         to=forward_document["to"],
                         attempts=int(forward_document.get("attempts", 1)),
                         policy=(
-                            _policy_from_config(forward_document["policy"])
+                            policy_from_wire(forward_document["policy"])
                             if "policy" in forward_document
                             else None
                         ),
@@ -413,7 +405,7 @@ def validate_config(config: ScenarioConfig) -> None:
                         f"station {station.station_id}: bad child {child_id!r}"
                     )
             for method in station.methods:
-                if method not in {"UT", "RT", "CT", "ET", "MT", "PT", "VT"}:
+                if method not in METHOD_CODES:
                     problems.append(
                         f"station {station.station_id}: unknown method {method!r}"
                     )
@@ -735,10 +727,7 @@ class _Engine:
             self._on_status(event.order_id, event.state)
 
     def trace_lines(self) -> tuple[str, ...]:
-        return tuple(
-            json.dumps(entry, sort_keys=True, separators=(",", ":"))
-            for entry in self._trace
-        )
+        return tuple(canonical_json(entry).decode("utf-8") for entry in self._trace)
 
     def mint_uid(self) -> str:
         self._uid_counter += 1
@@ -1033,14 +1022,7 @@ class _Engine:
             )
             fault = self.oversize_faults.get(order_id)
             if fault is not None:
-                rv = ReportedValues(
-                    order_id=rv.order_id,
-                    verdict=rv.verdict,
-                    indication_count=rv.indication_count,
-                    max_amplitude=rv.max_amplitude,
-                    archived_refs=rv.archived_refs,
-                    extras={"notes": "N" * fault.size},
-                )
+                rv = replace(rv, extras={"notes": "N" * fault.size})
             try:
                 self.bus.report_values(rv)
             except OversizedPayload:
@@ -1071,14 +1053,7 @@ class _Engine:
                         "payloadBytes": fault.size,
                     },
                 )
-                rv = ReportedValues(
-                    order_id=rv.order_id,
-                    verdict=rv.verdict,
-                    indication_count=rv.indication_count,
-                    max_amplitude=rv.max_amplitude,
-                    archived_refs=rv.archived_refs,
-                    extras={"payloadRef": blob_uid},
-                )
+                rv = replace(rv, extras={"payloadRef": blob_uid})
                 self.bus.report_values(rv)
             self.emit(
                 "gateway",

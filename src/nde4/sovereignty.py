@@ -15,7 +15,6 @@ reconstructs its state exactly (event-sourcing equivalence).
 
 from __future__ import annotations
 
-import json
 import struct
 import threading
 from dataclasses import dataclass, replace
@@ -24,7 +23,10 @@ from typing import Callable, Iterable
 
 from .archive import Archive, DataObject, UnknownUID, decode_object
 from .errors import Nde4Error
-from .framing import Channel, decode_frame, encode_frame
+from .framing import (
+    OP_ERROR, Channel, canonical_json, decode_frame, dispatch, encode_frame,
+    error_payload, json_object, serve_frame,
+)
 from .identity import InstanceId
 from .semantics import is_id_token
 from .timebase import LogicalClock, is_valid_datetime
@@ -36,7 +38,7 @@ OP_CONSUME = 0x13
 OP_DATA = 0x14
 OP_FORWARD = 0x15
 OP_DENY = 0x7E
-OP_ERROR = 0x7F
+# OP_ERROR (0x7F) is the framing module's, re-exported here
 
 AUDIT_FILE_PREFIX = "audit-"
 AUDIT_FILE_SUFFIX = ".log"
@@ -171,7 +173,8 @@ def _policy_to_wire(policy: UsagePolicy) -> dict:
     }
 
 
-def _policy_from_wire(document: dict) -> UsagePolicy:
+def policy_from_wire(document: dict) -> UsagePolicy:
+    """Policy JSON (docs/FORMATS.md) to a UsagePolicy; scenarios use it too."""
     return UsagePolicy(
         max_reads=document.get("maxReads"),
         expires=document.get("expires"),
@@ -207,10 +210,6 @@ def clamp_policy(parent: UsagePolicy, remaining: int | None,
     )
 
 
-def _json_bytes(document: dict) -> bytes:
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 _WIRE_ERRORS: dict[str, type] = {
     "InvalidPolicy": InvalidPolicy,
     "UnknownContract": UnknownContract,
@@ -221,6 +220,17 @@ _WIRE_ERRORS: dict[str, type] = {
     "ForwardProhibited": ForwardProhibited,
     "UnknownUID": UnknownUID,
 }
+
+
+def _wire_failure(body: bytes) -> tuple[str, Nde4Error]:
+    """Decode an ERROR or DENY body: the audit detail "<code>: <detail>" and
+    the error to raise, of the class the code names (else Nde4Error)."""
+    try:
+        document = json_object(body)
+    except ValueError:
+        return "unreadable error body", Nde4Error("unreadable error body")
+    code, detail = document.get("code", ""), document.get("detail", "")
+    return f"{code}: {detail}", _WIRE_ERRORS.get(code, Nde4Error)(detail)
 
 
 class Connector:
@@ -290,7 +300,7 @@ class Connector:
 
     def _write_audit_line(self, event: AuditEvent) -> None:
         if self._audit_path is not None:
-            line = _json_bytes(
+            line = canonical_json(
                 {
                     "at": event.at,
                     "contractId": event.contract_id,
@@ -339,7 +349,7 @@ class Connector:
             origin=origin,
         )
         self._audit_event(OFFER, contract_id, f"to {consumer} uid {object_uid}")
-        body = _json_bytes(
+        body = canonical_json(
             {
                 "contractId": contract_id,
                 "provider": str(self.owner),
@@ -350,7 +360,7 @@ class Connector:
         )
         opcode, response = self._send(peer, OP_OFFER, body)
         if opcode == OP_ERROR:
-            raise Nde4Error(json.loads(response)["detail"])
+            raise _wire_failure(response)[1]
         return contract_id
 
     def revoke(self, contract_id: str) -> None:
@@ -382,23 +392,23 @@ class Connector:
 
     def accept(self, contract_id: str) -> None:
         peer = self._provider_peer(contract_id)
-        body = _json_bytes({"contractId": contract_id, "from": str(self.owner)})
+        body = canonical_json({"contractId": contract_id, "from": str(self.owner)})
         opcode, response = self._send(peer, OP_ACCEPT, body)
         if opcode == OP_ERROR:
-            self._raise_wire_error(response)
+            raise _wire_failure(response)[1]
         self._audit_event(ACCEPT, contract_id)
 
     def consume(self, contract_id: str) -> DataObject:
         peer = self._provider_peer(contract_id)
         with self._serial_for(contract_id):
-            body = _json_bytes({"contractId": contract_id, "from": str(self.owner)})
+            body = canonical_json({"contractId": contract_id, "from": str(self.owner)})
             opcode, response = self._send(peer, OP_CONSUME, body)
             if opcode != OP_DATA:
-                with self._lock:
-                    self._audit_event(DENY, contract_id, _error_detail(response))
-                self._raise_wire_error(response)
+                detail, error = _wire_failure(response)
+                self._audit_event(DENY, contract_id, detail)
+                raise error
             (header_length,) = struct.unpack_from("<I", response, 0)
-            header = json.loads(response[4 : 4 + header_length].decode("utf-8"))
+            header = json_object(response[4 : 4 + header_length])
             object_bytes = response[4 + header_length :]
             with self._lock:
                 self._cache[contract_id] = object_bytes
@@ -420,7 +430,7 @@ class Connector:
         requested: UsagePolicy | None = None,
     ) -> str:
         peer = self._provider_peer(contract_id)
-        body = _json_bytes(
+        body = canonical_json(
             {
                 "contractId": contract_id,
                 "from": str(self.owner),
@@ -431,11 +441,11 @@ class Connector:
         )
         opcode, response = self._send(peer, OP_FORWARD, body)
         if opcode in (OP_DENY, OP_ERROR):
-            with self._lock:
-                self._audit_event(DENY, contract_id, _error_detail(response))
-            self._raise_wire_error(response)
-        grant = json.loads(response.decode("utf-8"))
-        granted_policy = _policy_from_wire(grant["policy"])
+            detail, error = _wire_failure(response)
+            self._audit_event(DENY, contract_id, detail)
+            raise error
+        grant = json_object(response)
+        granted_policy = policy_from_wire(grant["policy"])
         with self._lock:
             return self._offer_locked(
                 third_party, grant["objectUid"], granted_policy, grant["origin"]
@@ -456,50 +466,31 @@ class Connector:
             raise UnknownContract(contract_id)
         return self._peer_for_owner(owner_key)
 
-    def _raise_wire_error(self, body: bytes) -> None:
-        document = json.loads(body.decode("utf-8"))
-        error_class = _WIRE_ERRORS.get(document.get("code", ""), Nde4Error)
-        raise error_class(document.get("detail", ""))
-
     # --- wire dispatch --------------------------------------------------------
+
+    def request(self, payload: bytes) -> bytes:
+        """Serve one SOVEREIGN request payload; returns the response payload."""
+        handlers = {
+            OP_OFFER: self._handle_offer,
+            OP_ACCEPT: self._handle_accept,
+            OP_CONSUME: self._handle_consume,
+            OP_FORWARD: self._handle_forward,
+        }
+        return dispatch(handlers, payload)
 
     def handle(self, frame_bytes: bytes) -> bytes:
         """Serve one SOVEREIGN request frame; returns the response frame."""
-        frame = decode_frame(frame_bytes)
-        if frame.channel != Channel.SOVEREIGN or not frame.payload:
-            return self._error_frame("MalformedRequest", "not a sovereign request")
-        opcode, body = frame.payload[0], frame.payload[1:]
-        try:
-            document = json.loads(body.decode("utf-8")) if body else {}
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return self._error_frame("MalformedRequest", str(exc))
-        try:
-            if opcode == OP_OFFER:
-                return self._handle_offer(document)
-            if opcode == OP_ACCEPT:
-                return self._handle_accept(document)
-            if opcode == OP_CONSUME:
-                return self._handle_consume(document)
-            if opcode == OP_FORWARD:
-                return self._handle_forward(document)
-        except Nde4Error as exc:
-            return self._error_frame(type(exc).__name__, str(exc))
-        return self._error_frame("MalformedRequest", f"unknown opcode {opcode:#x}")
+        return serve_frame(Channel.SOVEREIGN, self.request, frame_bytes)
 
-    def _response_frame(self, opcode: int, body: bytes) -> bytes:
-        return encode_frame(Channel.SOVEREIGN, bytes([opcode]) + body)
-
-    def _error_frame(self, code: str, detail: str, deny: bool = False) -> bytes:
-        opcode = OP_DENY if deny else OP_ERROR
-        return self._response_frame(opcode, _json_bytes({"code": code, "detail": detail}))
-
-    def _handle_offer(self, document: dict) -> bytes:
+    def _handle_offer(self, body: bytes) -> bytes:
+        document = json_object(body)
         contract_id = document["contractId"]
         with self._lock:
             self._mirrors[contract_id] = document["provider"]
-        return self._response_frame(OP_OFFER, _json_bytes({"contractId": contract_id}))
+        return bytes([OP_OFFER]) + canonical_json({"contractId": contract_id})
 
-    def _handle_accept(self, document: dict) -> bytes:
+    def _handle_accept(self, body: bytes) -> bytes:
+        document = json_object(body)
         contract_id = document["contractId"]
         with self._lock:
             contract = self._contracts.get(contract_id)
@@ -514,11 +505,12 @@ class Connector:
             contract.state = ACCEPTED
             contract.state = ACTIVE  # handshake completes immediately at desk scale
             self._audit_event(ACCEPT, contract_id, f"by {contract.consumer}")
-        return self._response_frame(
-            OP_ACCEPT, _json_bytes({"contractId": contract_id, "state": ACTIVE})
+        return bytes([OP_ACCEPT]) + canonical_json(
+            {"contractId": contract_id, "state": ACTIVE}
         )
 
-    def _handle_consume(self, document: dict) -> bytes:
+    def _handle_consume(self, body: bytes) -> bytes:
+        document = json_object(body)
         contract_id = document["contractId"]
         with self._lock:
             contract = self._contracts.get(contract_id)
@@ -558,12 +550,11 @@ class Connector:
                 f"read {contract.reads_done}"
                 + (f" of {contract.policy.max_reads}" if contract.policy.max_reads else ""),
             )
-        header = _json_bytes({"contractId": contract_id, "exhausted": exhausted})
-        return self._response_frame(
-            OP_DATA, struct.pack("<I", len(header)) + header + object_bytes
-        )
+        header = canonical_json({"contractId": contract_id, "exhausted": exhausted})
+        return bytes([OP_DATA]) + struct.pack("<I", len(header)) + header + object_bytes
 
-    def _handle_forward(self, document: dict) -> bytes:
+    def _handle_forward(self, body: bytes) -> bytes:
+        document = json_object(body)
         contract_id = document["contractId"]
         with self._lock:
             contract = self._contracts.get(contract_id)
@@ -577,26 +568,21 @@ class Connector:
                 raise WrongState(f"{contract_id} is {contract.state}, not {ACTIVE}")
             if not contract.policy.allow_forward:
                 self._audit_event(DENY, contract_id, "forwarding prohibited")
-                return self._error_frame(
-                    "ForwardProhibited", contract_id, deny=True
-                )
+                return error_payload("ForwardProhibited", contract_id, OP_DENY)
             requested_document = document.get("requestedPolicy")
             requested = (
-                _policy_from_wire(requested_document)
+                policy_from_wire(requested_document)
                 if requested_document is not None
                 else None
             )
             granted = clamp_policy(contract.policy, contract.remaining_reads, requested)
-        return self._response_frame(
-            OP_FORWARD,
-            _json_bytes(
-                {
-                    "contractId": contract_id,
-                    "objectUid": contract.object_uid,
-                    "origin": contract.origin,
-                    "policy": _policy_to_wire(granted),
-                }
-            ),
+        return bytes([OP_FORWARD]) + canonical_json(
+            {
+                "contractId": contract_id,
+                "objectUid": contract.object_uid,
+                "origin": contract.origin,
+                "policy": _policy_to_wire(granted),
+            }
         )
 
     # --- data plane -------------------------------------------------------------
@@ -617,10 +603,3 @@ class Connector:
                 raise UnknownUID(object_uid)
             return self._archive.fetch_bytes(object_uid)
 
-
-def _error_detail(body: bytes) -> str:
-    try:
-        document = json.loads(body.decode("utf-8"))
-        return f"{document.get('code', '')}: {document.get('detail', '')}"
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return "unreadable error body"

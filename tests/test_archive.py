@@ -270,3 +270,13 @@ def test_wire_errors(store):
     response = wire.request(bytes([0x55]) + b"??")
     assert response[0] == OP_ERROR
     assert "opcode" in json.loads(response[1:])["detail"]
+    # well-formed JSON of the wrong shape is a malformed request, not a crash
+    for opcode, body in (
+        (OP_FETCH, b"[1]"),
+        (OP_FETCH, b'"x"'),
+        (OP_FETCH, b'{"uid":[1]}'),
+        (OP_QUERY, b"[]"),
+    ):
+        response = wire.request(bytes([opcode]) + body)
+        assert response[0] == OP_ERROR
+        assert json.loads(response[1:])["code"] == "MalformedRequest"

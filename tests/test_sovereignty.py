@@ -19,8 +19,11 @@ from nde4.sovereignty import (
     EXPIRED,
     OFFER,
     OFFERED,
+    OP_ACCEPT,
     OP_CONSUME,
     OP_ERROR,
+    OP_FORWARD,
+    OP_OFFER,
     READ,
     REVOKED,
     Connector,
@@ -186,6 +189,22 @@ def test_malformed_wire_requests(pair):
     empty = encode_frame(Channel.SOVEREIGN, b"")
     payload = decode_frame(provider.handle(empty)).payload
     assert payload[0] == OP_ERROR
+    # well-formed JSON of the wrong shape is a malformed request, not a crash
+    for opcode, body in (
+        (OP_CONSUME, b"{}"),
+        (OP_CONSUME, b"[]"),
+        (OP_ACCEPT, b'{"from":"x"}'),
+        (OP_OFFER, b'{"contractId":"c"}'),
+        (OP_FORWARD, b"[1]"),
+    ):
+        request = encode_frame(Channel.SOVEREIGN, bytes([opcode]) + body)
+        payload = decode_frame(provider.handle(request)).payload
+        assert payload[0] == OP_ERROR
+        assert json.loads(payload[1:])["code"] == "MalformedRequest"
+    wrong_channel = encode_frame(Channel.ARCHIVE, bytes([OP_CONSUME]) + b"{}")
+    response = decode_frame(provider.handle(wrong_channel))
+    assert response.channel == Channel.SOVEREIGN
+    assert json.loads(response.payload[1:])["code"] == "MalformedRequest"
 
 
 def test_expiry_on_the_logical_clock(pair, clock):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+from functools import partial
 
 import pytest
 
@@ -18,7 +19,7 @@ from nde4.archive import (
     decode_object,
     encode_object,
 )
-from nde4.framing import BadMagic, Channel, decode_frame, encode_frame
+from nde4.framing import BadMagic, Channel, decode_frame, encode_frame, serve_frame
 from nde4.identity import InstanceId, TypeId
 from nde4.sovereignty import (
     OP_CONSUME,
@@ -30,20 +31,10 @@ from nde4.timebase import LogicalClock
 from nde4.transport import ConnectionClosed, FrameClient, FrameServer
 
 
-def archive_frame_handler(wire: ArchiveWire):
-    """Adapter: unwrap the request frame, answer on the same channel."""
-
-    def handle(frame_bytes: bytes) -> bytes:
-        payload = decode_frame(frame_bytes).payload
-        return encode_frame(Channel.ARCHIVE, wire.request(payload))
-
-    return handle
-
-
 @pytest.fixture
 def served_archive(store):
-    wire = ArchiveWire(store)
-    with FrameServer(archive_frame_handler(wire)) as server:
+    handler = partial(serve_frame, Channel.ARCHIVE, ArchiveWire(store).request)
+    with FrameServer(handler) as server:
         yield store, server.address
 
 
@@ -80,6 +71,22 @@ def test_errors_cross_the_wire_as_frames(served_archive):
         payload = decode_frame(client.request(request)).payload
         assert payload[0] == OP_ERROR
         assert json.loads(payload[1:])["code"] == "UnknownUID"
+
+
+def test_wrong_shape_body_keeps_the_link(served_archive):
+    store, (host, port) = served_archive
+    store.store(make_object(uid="obj-1"))
+    with FrameClient(host, port) as client:
+        request = encode_frame(Channel.ARCHIVE, bytes([OP_FETCH]) + b"[1]")
+        payload = decode_frame(client.request(request)).payload
+        assert payload[0] == OP_ERROR
+        assert json.loads(payload[1:])["code"] == "MalformedRequest"
+        # the server answered instead of dropping the connection
+        request = encode_frame(
+            Channel.ARCHIVE, bytes([OP_FETCH]) + b'{"uid":"obj-1"}'
+        )
+        payload = decode_frame(client.request(request)).payload
+        assert payload[0] == OP_RESULT
 
 
 def test_concurrent_clients_share_one_archive(served_archive):
@@ -140,23 +147,21 @@ def test_garbage_stream_drops_the_link(served_archive):
             client.request(b"JUNKJUNKJUNKJUNK")
 
 
-def test_client_detects_bad_magic_in_response(store):
+def test_client_detects_bad_magic_in_response():
     def hostile(_: bytes) -> bytes:
         return b"XXXX" + bytes(6)
 
-    wire = ArchiveWire(store)
     with FrameServer(hostile) as server:
         host, port = server.address
         with FrameClient(host, port) as client:
             request = encode_frame(Channel.ARCHIVE, bytes([OP_QUERY]) + b"{}")
             with pytest.raises(BadMagic):
                 client.request(request)
-    del wire
 
 
 def test_connect_refused_after_server_stops(store):
-    wire = ArchiveWire(store)
-    server = FrameServer(archive_frame_handler(wire))
+    handler = partial(serve_frame, Channel.ARCHIVE, ArchiveWire(store).request)
+    server = FrameServer(handler)
     host, port = server.start()
     server.stop()
     # connections accepted before stop() finish their in-flight work; new
@@ -166,8 +171,8 @@ def test_connect_refused_after_server_stops(store):
 
 
 def test_server_address_is_loopback_ephemeral(store):
-    wire = ArchiveWire(store)
-    with FrameServer(archive_frame_handler(wire)) as server:
+    handler = partial(serve_frame, Channel.ARCHIVE, ArchiveWire(store).request)
+    with FrameServer(handler) as server:
         host, port = server.address
         assert host == "127.0.0.1"
         assert port > 0
