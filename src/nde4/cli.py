@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .archive import Archive, data_dir, decode_object, CHAIN_FILE
 from .errors import Nde4Error
-from .rami import LociRegistry, RamiCoordinate, coverage_check, gaps_text
+from .rami import RamiCoordinate, coverage_check, gaps_text, locate
 from .registry import manifest_from_dict, validate_manifest
 from .plantsim import ScenarioDeadlock, load_scenario, run_scenario, TRACE_SUFFIX
 from .semantics import (
@@ -227,8 +227,7 @@ def cmd_validate_object(args) -> CommandResult:
 # --- rami -----------------------------------------------------------------------
 
 def cmd_rami_locate(args) -> CommandResult:
-    registry = LociRegistry()
-    locus = registry.locate(args.component)
+    locus = locate(args.component)
     cells = sorted(c.text() for c in locus.cells)
     text = "\n".join(cells)
     return CommandResult(
@@ -237,8 +236,7 @@ def cmd_rami_locate(args) -> CommandResult:
 
 
 def cmd_rami_coverage(args) -> CommandResult:
-    registry = LociRegistry()
-    loci = [registry.locate(name) for name in args.components.split(",") if name]
+    loci = [locate(name) for name in args.components.split(",") if name]
     try:
         required = frozenset(RamiCoordinate.from_text(cell) for cell in args.cell)
     except ValueError as exc:

@@ -13,19 +13,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from importlib.resources import files
 
 from .archive import Archive, Element
 from .bus import DanglingArchiveRef, Procedure
 from .errors import Nde4Error
 from .framing import ORDERS_PAYLOAD_LIMIT, canonical_json
 from .messages import InspectionOrder, ReportedValues, Verdict
-from .semantics import (
-    TAG_COMPONENT_SERIAL,
-    TAG_COMPONENT_TYPE,
-    TAG_ORDER_ID,
-    TAG_PROCEDURE_ID,
-    TagCode,
-)
+from .semantics import TagCode
 
 # textual blob carrying whatever the mapping table does not cover
 UNMAPPED_BLOB_TAG = TagCode(0x0009, 0x0001)
@@ -87,14 +82,31 @@ class MappingTable:
         return None
 
 
-MAPPING_V1 = MappingTable(
-    version=1,
-    pairs=(
-        ("order_id", TAG_ORDER_ID),
-        ("component_serial", TAG_COMPONENT_SERIAL),
-        ("procedure_id", TAG_PROCEDURE_ID),
-        ("component_type", TAG_COMPONENT_TYPE),
-    ),
+def dump_mapping_tsv(mapping: MappingTable) -> str:
+    lines = []
+    for field_name, code in mapping.pairs:
+        lines.append(f"{field_name}\t{code.group:04X}\t{code.element:04X}")
+    return "\n".join(lines) + "\n"
+
+
+def load_mapping_tsv(text: str, version: int) -> MappingTable:
+    pairs = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise ValueError(f"mapping line {lineno}: expected 3 columns")
+        field_name, group_text, element_text = parts
+        pairs.append(
+            (field_name, TagCode(int(group_text, 16), int(element_text, 16)))
+        )
+    return MappingTable(version, tuple(pairs))
+
+
+MAPPING_V1 = load_mapping_tsv(
+    files("nde4").joinpath("data/mapping-v1.tsv").read_text("utf-8"), version=1
 )
 
 
@@ -198,28 +210,3 @@ def archive_result_to_kpis(
         max_amplitude=max_amplitude,
         archived_refs=tuple(uids),
     )
-
-
-# --- mapping table file ------------------------------------------------------
-
-def dump_mapping_tsv(mapping: MappingTable) -> str:
-    lines = []
-    for field_name, code in mapping.pairs:
-        lines.append(f"{field_name}\t{code.group:04X}\t{code.element:04X}")
-    return "\n".join(lines) + "\n"
-
-
-def load_mapping_tsv(text: str, version: int) -> MappingTable:
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"mapping line {lineno}: expected 3 columns")
-        field_name, group_text, element_text = parts
-        pairs.append(
-            (field_name, TagCode(int(group_text, 16), int(element_text, 16)))
-        )
-    return MappingTable(version, tuple(pairs))

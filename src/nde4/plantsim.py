@@ -35,6 +35,7 @@ from .gateway import (
 )
 from .identity import InstanceId, TypeId, is_name_token, is_serial_token, parse_id
 from .messages import (
+    TERMINAL_STATES,
     InspectionOrder,
     OrderState,
     StatusEvent,
@@ -51,7 +52,6 @@ from .registry import (
 )
 from .rami import (
     ComponentLocus,
-    LociRegistry,
     RamiCoordinate,
     cells as rami_cells,
     coverage_check,
@@ -59,6 +59,7 @@ from .rami import (
     Hierarchy,
     Layer,
     Lifecycle,
+    locate,
 )
 from .semantics import (
     TAG_AMPLITUDE_GRID,
@@ -83,9 +84,6 @@ from .semantics import (
 from .sovereignty import (
     DENY,
     Connector,
-    ForwardProhibited,
-    PolicyExhausted,
-    PolicyExpired,
     UsagePolicy,
     policy_from_wire,
 )
@@ -156,7 +154,7 @@ DEFAULT_NOISE = NoiseModel()
 class StationConfig:
     station_id: str
     type_name: str
-    methods: tuple[str, ...]
+    methods: tuple[str, ...] = ()
     person: bool = False
     display_name: str = ""
     children: tuple[tuple[str, str], ...] = ()  # (child id, child type name)
@@ -244,6 +242,162 @@ def _required_cells_from_config(entries) -> frozenset[RamiCoordinate]:
     return frozenset(collected)
 
 
+def _present(document, keys) -> dict:
+    """Keyword arguments for the optional keys a scenario document carries.
+
+    `keys` lists (dataclass field, document key, cast). A key the document
+    lacks is left out, so the dataclass default applies. A document that is
+    not a JSON object raises TypeError.
+    """
+    if not isinstance(document, dict):
+        raise TypeError(f"expected an object, got {type(document).__name__}")
+    present = {}
+    for name, key, cast in keys:
+        if key in document:
+            present[name] = cast(document[key])
+    return present
+
+
+def _verbatim(value):
+    return value
+
+
+def _each(build: Callable) -> Callable:
+    """Cast for a list of documents: the tuple of what `build` makes of each."""
+    return lambda documents: tuple(map(build, documents))
+
+
+_NOISE_KEYS = (
+    ("noise_max", "noiseMax", float),
+    ("detection_floor", "detectionFloor", float),
+    ("peak_lo", "peakLo", float),
+    ("peak_hi", "peakHi", float),
+    ("max_defects", "maxDefects", int),
+    ("max_defect_extent", "maxDefectExtent", int),
+)
+
+
+def _noise(document) -> NoiseModel:
+    return NoiseModel(**_present(document, _NOISE_KEYS))
+
+
+_STATION_KEYS = (
+    ("methods", "methods", tuple),
+    ("person", "person", bool),
+    ("display_name", "displayName", _verbatim),
+    (
+        "children",
+        "children",
+        lambda children: tuple((child["id"], child["type"]) for child in children),
+    ),
+)
+
+
+def _station(document) -> StationConfig:
+    return StationConfig(
+        station_id=document["id"],
+        type_name=document["type"],
+        **_present(document, _STATION_KEYS),
+    )
+
+
+_PROCEDURE_KEYS = (
+    ("rows", "rows", int),
+    ("cols", "cols", int),
+    ("reject_threshold", "rejectThreshold", float),
+    ("min_refs", "minRefs", int),
+)
+
+
+def _procedure(document) -> Procedure:
+    return Procedure(
+        procedure_id=document["id"],
+        method=document["method"],
+        **_present(document, _PROCEDURE_KEYS),
+    )
+
+
+_COMPANY_KEYS = (
+    ("stations", "stations", _each(_station)),
+    ("procedures", "procedures", _each(_procedure)),
+)
+
+
+def _company(document) -> CompanyConfig:
+    return CompanyConfig(
+        name=document["name"],
+        role=document["role"],
+        **_present(document, _COMPANY_KEYS),
+    )
+
+
+_ORDER_KEYS = (
+    ("priority", "priority", int),
+    ("due_ticks", "dueTicks", int),
+    ("station_id", "station", _verbatim),
+)
+
+
+def _order(document) -> OrderPlan:
+    return OrderPlan(
+        order_id=document["orderId"],
+        company=document["company"],
+        component_type=document["componentType"],
+        component_serial=document["componentSerial"],
+        procedure_id=document["procedureId"],
+        **_present(document, _ORDER_KEYS),
+    )
+
+
+_FORWARD_KEYS = (
+    ("attempts", "attempts", int),
+    ("policy", "policy", policy_from_wire),
+)
+
+
+def _forward(document) -> ForwardPlan:
+    return ForwardPlan(to=document["to"], **_present(document, _FORWARD_KEYS))
+
+
+_EXCHANGE_KEYS = (
+    ("attempts", "attempts", int),
+    ("forwards", "forwards", _each(_forward)),
+)
+
+
+def _exchange(document) -> ExchangePlan:
+    return ExchangePlan(
+        provider=document["provider"],
+        consumer=document["consumer"],
+        order_id=document["orderId"],
+        policy=policy_from_wire(document.get("policy", {})),
+        **_present(document, _EXCHANGE_KEYS),
+    )
+
+
+_FAULT_KEYS = (
+    ("order_id", "orderId", _verbatim),
+    ("size", "size", int),
+)
+
+
+def _fault(document) -> FaultSpec:
+    if isinstance(document, str):
+        return FaultSpec(kind=document)
+    return FaultSpec(kind=document["kind"], **_present(document, _FAULT_KEYS))
+
+
+_SCENARIO_KEYS = (
+    ("exchanges", "exchanges", _each(_exchange)),
+    ("sovereignty", "sovereignty", bool),
+    ("faults", "faults", _each(_fault)),
+    ("required_cells", "requiredCells", _required_cells_from_config),
+    ("allowlist", "allowlist", tuple),
+    ("active_components", "activeComponents", tuple),
+    ("noise", "noise", _noise),
+)
+
+
 def load_scenario(text: str, seed_override: int | None = None) -> ScenarioConfig:
     """Parse and validate a scenario document; raises ConfigInvalid."""
     try:
@@ -253,118 +407,11 @@ def load_scenario(text: str, seed_override: int | None = None) -> ScenarioConfig
     if not isinstance(document, dict):
         raise ConfigInvalid("scenario document must be an object")
     try:
-        noise_document = document.get("noise", {})
-        noise = NoiseModel(
-            noise_max=float(noise_document.get("noiseMax", DEFAULT_NOISE.noise_max)),
-            detection_floor=float(
-                noise_document.get("detectionFloor", DEFAULT_NOISE.detection_floor)
-            ),
-            peak_lo=float(noise_document.get("peakLo", DEFAULT_NOISE.peak_lo)),
-            peak_hi=float(noise_document.get("peakHi", DEFAULT_NOISE.peak_hi)),
-            max_defects=int(noise_document.get("maxDefects", DEFAULT_NOISE.max_defects)),
-            max_defect_extent=int(
-                noise_document.get("maxDefectExtent", DEFAULT_NOISE.max_defect_extent)
-            ),
-        )
-        companies = []
-        for company_document in document.get("companies", []):
-            stations = []
-            for station_document in company_document.get("stations", []):
-                stations.append(
-                    StationConfig(
-                        station_id=station_document["id"],
-                        type_name=station_document["type"],
-                        methods=tuple(station_document.get("methods", ())),
-                        person=bool(station_document.get("person", False)),
-                        display_name=station_document.get("displayName", ""),
-                        children=tuple(
-                            (child["id"], child["type"])
-                            for child in station_document.get("children", [])
-                        ),
-                    )
-                )
-            procedures = []
-            for procedure_document in company_document.get("procedures", []):
-                procedures.append(
-                    Procedure(
-                        procedure_id=procedure_document["id"],
-                        method=procedure_document["method"],
-                        rows=int(procedure_document.get("rows", 8)),
-                        cols=int(procedure_document.get("cols", 8)),
-                        reject_threshold=float(
-                            procedure_document.get("rejectThreshold", 50.0)
-                        ),
-                        min_refs=int(procedure_document.get("minRefs", 1)),
-                    )
-                )
-            companies.append(
-                CompanyConfig(
-                    name=company_document["name"],
-                    role=company_document["role"],
-                    stations=tuple(stations),
-                    procedures=tuple(procedures),
-                )
-            )
-        orders = tuple(
-            OrderPlan(
-                order_id=order_document["orderId"],
-                company=order_document["company"],
-                component_type=order_document["componentType"],
-                component_serial=order_document["componentSerial"],
-                procedure_id=order_document["procedureId"],
-                priority=int(order_document.get("priority", 0)),
-                due_ticks=int(order_document.get("dueTicks", 86_400)),
-                station_id=order_document.get("station"),
-            )
-            for order_document in document.get("orders", [])
-        )
-        exchanges = tuple(
-            ExchangePlan(
-                provider=exchange_document["provider"],
-                consumer=exchange_document["consumer"],
-                order_id=exchange_document["orderId"],
-                policy=policy_from_wire(exchange_document.get("policy", {})),
-                attempts=int(exchange_document.get("attempts", 1)),
-                forwards=tuple(
-                    ForwardPlan(
-                        to=forward_document["to"],
-                        attempts=int(forward_document.get("attempts", 1)),
-                        policy=(
-                            policy_from_wire(forward_document["policy"])
-                            if "policy" in forward_document
-                            else None
-                        ),
-                    )
-                    for forward_document in exchange_document.get("forwards", [])
-                ),
-            )
-            for exchange_document in document.get("exchanges", [])
-        )
-        faults = []
-        for fault_document in document.get("faults", []):
-            if isinstance(fault_document, str):
-                faults.append(FaultSpec(kind=fault_document))
-            else:
-                faults.append(
-                    FaultSpec(
-                        kind=fault_document["kind"],
-                        order_id=fault_document.get("orderId"),
-                        size=int(fault_document.get("size", DEFAULT_OVERSIZE_BYTES)),
-                    )
-                )
         config = ScenarioConfig(
             seed=int(document.get("seed", 0)),
-            companies=tuple(companies),
-            orders=orders,
-            exchanges=exchanges,
-            sovereignty=bool(document.get("sovereignty", False)),
-            faults=tuple(faults),
-            required_cells=_required_cells_from_config(
-                document.get("requiredCells", [])
-            ),
-            allowlist=tuple(document.get("allowlist", ())),
-            active_components=tuple(document.get("activeComponents", ())),
-            noise=noise,
+            companies=tuple(map(_company, document.get("companies", ()))),
+            orders=tuple(map(_order, document.get("orders", ()))),
+            **_present(document, _SCENARIO_KEYS),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"scenario malformed: {exc}") from exc
@@ -380,8 +427,8 @@ def validate_config(config: ScenarioConfig) -> None:
         problems.append(f"seed out of 64-bit range: {config.seed}")
     if not config.companies:
         problems.append("no companies configured")
-    names = [c.name for c in config.companies]
-    if len(set(names)) != len(names):
+    companies = {c.name: c for c in config.companies}
+    if len(companies) != len(config.companies):
         problems.append("company names must be unique")
     procedure_ids: set[str] = set()
     for company in config.companies:
@@ -422,7 +469,7 @@ def validate_config(config: ScenarioConfig) -> None:
         if plan.order_id in order_ids:
             problems.append(f"duplicate order id {plan.order_id!r}")
         order_ids.add(plan.order_id)
-        company = config.company(plan.company)
+        company = companies.get(plan.company)
         if company is None:
             problems.append(f"order {plan.order_id}: unknown company {plan.company!r}")
         elif plan.station_id is not None and plan.station_id not in {
@@ -452,15 +499,15 @@ def validate_config(config: ScenarioConfig) -> None:
             problems.append(f"order {plan.order_id}: {exc}")
     for exchange in config.exchanges:
         for company_name in (exchange.provider, exchange.consumer):
-            if config.company(company_name) is None:
+            if companies.get(company_name) is None:
                 problems.append(f"exchange names unknown company {company_name!r}")
         if exchange.order_id not in order_ids:
             problems.append(f"exchange names unknown order {exchange.order_id!r}")
         for forward in exchange.forwards:
-            if config.company(forward.to) is None:
+            if companies.get(forward.to) is None:
                 problems.append(f"forward names unknown company {forward.to!r}")
     for company_name in config.allowlist:
-        if config.company(company_name) is None:
+        if companies.get(company_name) is None:
             problems.append(f"allowlist names unknown company {company_name!r}")
     noise = config.noise
     if not 0 < noise.detection_floor <= 100:
@@ -675,9 +722,6 @@ class _Engine:
         self._station_ids: dict[tuple[str, str], InstanceId] = {}
         self._company_owner: dict[str, InstanceId] = {}
         self._registered_components: set[str] = set()
-        self._order_company: dict[str, str] = {
-            plan.order_id: plan.company for plan in config.orders
-        }
         self._order_plan: dict[str, OrderPlan] = {
             plan.order_id: plan for plan in config.orders
         }
@@ -892,7 +936,7 @@ class _Engine:
             actor = f"{company}/{station_id}"
             worklist = self.bus.poll_worklist(station)
             for order in worklist:
-                if self._order_company[order.order_id] != company:
+                if self._order_plan[order.order_id].company != company:
                     continue
                 if self.bus.order_state(order.order_id) != OrderState.QUEUED:
                     continue
@@ -1069,11 +1113,11 @@ class _Engine:
     def _on_status(self, order_id: str, state: OrderState) -> None:
         if state != OrderState.REPORTED:
             return
-        company = self._order_company.get(order_id)
-        if company is not None:
+        plan = self._order_plan.get(order_id)
+        if plan is not None:
             self.schedule(
                 self.clock.tick + 1,
-                f"{company}/mes",
+                f"{plan.company}/mes",
                 self._component_registrar(order_id),
             )
         for exchange in self._exchanges_by_order.get(order_id, ()):
@@ -1144,7 +1188,7 @@ class _Engine:
                     derived_id = consumer.forward(
                         contract_id, third.owner, forward.policy
                     )
-                except (ForwardProhibited, Nde4Error) as exc:
+                except Nde4Error as exc:
                     self.emit(
                         f"connector/{exchange.consumer}",
                         "deny",
@@ -1172,7 +1216,7 @@ class _Engine:
             self.clock.advance()
             try:
                 obj = connector.consume(contract_id)
-            except (PolicyExhausted, PolicyExpired, Nde4Error) as exc:
+            except Nde4Error as exc:
                 self.emit(
                     actor,
                     "deny",
@@ -1211,14 +1255,13 @@ class _Engine:
             )
 
     def active_loci(self) -> list[ComponentLocus]:
-        registry = LociRegistry()
         active = ["orders-bus"]
         if self.gateway_active:
             active.append("gateway")
         if self.config.sovereignty:
             active.append("sovereignty")
         active.extend(self.config.active_components)
-        return [registry.locate(name) for name in active]
+        return [locate(name) for name in active]
 
     def build_report(self) -> dict:
         states = {
@@ -1258,10 +1301,7 @@ class _Engine:
                     "error",
                     {"orderId": order_id, "error": type(exc).__name__, "detail": str(exc)},
                 )
-                if self.bus.order_state(order_id) not in (
-                    OrderState.REPORTED,
-                    OrderState.REJECTED,
-                ):
+                if self.bus.order_state(order_id) not in TERMINAL_STATES:
                     self.bus.publish_status(
                         StatusEvent(
                             order_id, OrderState.REJECTED, self.clock.now_text()
@@ -1271,7 +1311,7 @@ class _Engine:
         blocking: dict[str, str] = {}
         for order_id in self.bus.order_ids():
             state = self.bus.order_state(order_id)
-            if state not in (OrderState.REPORTED, OrderState.REJECTED):
+            if state not in TERMINAL_STATES:
                 blocking[order_id] = state.value
         if self._pending_exchanges > 0:
             blocking["exchanges-pending"] = str(self._pending_exchanges)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from importlib.resources import files
 from itertools import product
 from typing import Iterable
 
@@ -87,94 +88,6 @@ class ComponentLocus:
             raise ValueError(f"locus for {self.component!r} has no cells")
 
 
-_MIDDLE_LAYERS = (Layer.INFORMATION, Layer.COMMUNICATION)
-_INSTANCE_SIDE = (Lifecycle.INST_PROD, Lifecycle.INST_USE)
-_TYPE_SIDE = (Lifecycle.TYPE_DEV, Lifecycle.TYPE_USE)
-_PYRAMID = (
-    Hierarchy.PROCESS,
-    Hierarchy.FIELD,
-    Hierarchy.CONTROL,
-    Hierarchy.SHOP_FLOOR,
-    Hierarchy.PLANT,
-)
-
-# the middle two layers on the instance side of the lifecycle axis, up the
-# automation pyramid but stopping below the enterprise level
-ORDERS_BUS_LOCUS = ComponentLocus(
-    "orders-bus", cells(_MIDDLE_LAYERS, _INSTANCE_SIDE, _PYRAMID)
-)
-
-# the gateway extends the same layers to the enterprise level; the
-# connected world stays out of reach without sovereignty connectors
-GATEWAY_LOCUS = ComponentLocus(
-    "gateway",
-    cells(_MIDDLE_LAYERS, _INSTANCE_SIDE, _PYRAMID + (Hierarchy.ENTERPRISE,)),
-)
-
-# plant-design documents live on the type side, across every hierarchy level
-PLANTDESIGN_DOC_LOCUS = ComponentLocus(
-    "plantdesign-doc",
-    cells(_MIDDLE_LAYERS, _TYPE_SIDE, tuple(Hierarchy)),
-)
-
-# sovereignty connectors close the connected-world cells the bus and
-# gateway leave open
-SOVEREIGNTY_LOCUS = ComponentLocus(
-    "sovereignty",
-    cells(_MIDDLE_LAYERS, _INSTANCE_SIDE, (Hierarchy.CONNECTED_WORLD,)),
-)
-
-DEFAULT_LOCI = (
-    ORDERS_BUS_LOCUS,
-    GATEWAY_LOCUS,
-    PLANTDESIGN_DOC_LOCUS,
-    SOVEREIGNTY_LOCUS,
-)
-
-
-class LociRegistry:
-    def __init__(self, loci: Iterable[ComponentLocus] = DEFAULT_LOCI):
-        self._loci: dict[str, ComponentLocus] = {}
-        for locus in loci:
-            self.register(locus)
-
-    def register(self, locus: ComponentLocus) -> None:
-        self._loci[locus.component] = locus
-
-    def locate(self, component: str) -> ComponentLocus:
-        locus = self._loci.get(component)
-        if locus is None:
-            raise UnknownComponent(component)
-        return locus
-
-    def components(self) -> tuple[str, ...]:
-        return tuple(self._loci)
-
-
-def locate(component: str, registry: LociRegistry | None = None) -> ComponentLocus:
-    return (registry or _DEFAULT_REGISTRY).locate(component)
-
-
-_DEFAULT_REGISTRY = LociRegistry()
-
-
-def coverage_check(
-    required: Iterable[RamiCoordinate], loci: Iterable[ComponentLocus]
-) -> frozenset[RamiCoordinate]:
-    """Gap report: required minus the union of the loci's cells."""
-    covered: set[RamiCoordinate] = set()
-    for locus in loci:
-        covered |= locus.cells
-    return frozenset(required) - covered
-
-
-def gaps_text(gaps: Iterable[RamiCoordinate]) -> tuple[str, ...]:
-    """Deterministic textual gap listing."""
-    return tuple(sorted(coordinate.text() for coordinate in gaps))
-
-
-# --- loci fixture file -------------------------------------------------------
-
 def dump_loci_tsv(loci: Iterable[ComponentLocus]) -> str:
     lines = []
     for locus in loci:
@@ -214,3 +127,54 @@ def load_loci_tsv(text: str) -> tuple[ComponentLocus, ...]:
         ComponentLocus(component, frozenset(collected[component]))
         for component in order
     )
+
+
+DEFAULT_LOCI = load_loci_tsv(
+    files("nde4").joinpath("data/rami-loci.tsv").read_text("utf-8")
+)
+
+
+class LociRegistry:
+    def __init__(self, loci: Iterable[ComponentLocus] = DEFAULT_LOCI):
+        self._loci: dict[str, ComponentLocus] = {}
+        for locus in loci:
+            self.register(locus)
+
+    def register(self, locus: ComponentLocus) -> None:
+        self._loci[locus.component] = locus
+
+    def locate(self, component: str) -> ComponentLocus:
+        locus = self._loci.get(component)
+        if locus is None:
+            raise UnknownComponent(component)
+        return locus
+
+    def components(self) -> tuple[str, ...]:
+        return tuple(self._loci)
+
+
+def locate(component: str, registry: LociRegistry | None = None) -> ComponentLocus:
+    return (registry or _DEFAULT_REGISTRY).locate(component)
+
+
+_DEFAULT_REGISTRY = LociRegistry()
+
+ORDERS_BUS_LOCUS = locate("orders-bus")
+GATEWAY_LOCUS = locate("gateway")
+PLANTDESIGN_DOC_LOCUS = locate("plantdesign-doc")
+SOVEREIGNTY_LOCUS = locate("sovereignty")
+
+
+def coverage_check(
+    required: Iterable[RamiCoordinate], loci: Iterable[ComponentLocus]
+) -> frozenset[RamiCoordinate]:
+    """Gap report: required minus the union of the loci's cells."""
+    covered: set[RamiCoordinate] = set()
+    for locus in loci:
+        covered |= locus.cells
+    return frozenset(required) - covered
+
+
+def gaps_text(gaps: Iterable[RamiCoordinate]) -> tuple[str, ...]:
+    """Deterministic textual gap listing."""
+    return tuple(sorted(coordinate.text() for coordinate in gaps))

@@ -18,6 +18,7 @@ import re
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
+from importlib.resources import files
 from typing import Iterable, Union
 
 from .errors import Nde4Error
@@ -323,28 +324,6 @@ TAG_BULK_PAYLOAD = TagCode(0x7FE0, 0x0010)
 
 MANDATORY_TAGS = (TAG_OBJECT_UID, TAG_METHOD_CODE, TAG_COMPONENT_SERIAL, TAG_ORDER_ID)
 
-DICT_V1 = Dictionary(
-    version=1,
-    definitions=(
-        TagDefinition(TAG_OBJECT_UID, "object_uid", ValueRep.IDSTR),
-        TagDefinition(TAG_CREATED_AT, "created_at", ValueRep.DATETIME),
-        TagDefinition(TAG_METHOD_CODE, "method_code", ValueRep.IDSTR),
-        TagDefinition(TAG_COMPONENT_SERIAL, "component_serial", ValueRep.IDSTR),
-        TagDefinition(TAG_COMPONENT_TYPE, "component_type", ValueRep.IDSTR),
-        TagDefinition(TAG_ORDER_ID, "order_id", ValueRep.IDSTR),
-        TagDefinition(TAG_PROCEDURE_ID, "procedure_id", ValueRep.IDSTR),
-        TagDefinition(TAG_DEVICE_ID, "device_id", ValueRep.IDSTR),
-        TagDefinition(TAG_CALIBRATION_DUE, "calibration_due", ValueRep.DATETIME),
-        TagDefinition(TAG_GRID_ROWS, "grid_rows", ValueRep.U16),
-        TagDefinition(TAG_GRID_COLS, "grid_cols", ValueRep.U16),
-        TagDefinition(
-            TAG_AMPLITUDE_GRID, "amplitude_grid", ValueRep.F32ARRAY,
-            units="percent-FSH", multiplicity="N",
-        ),
-        TagDefinition(TAG_BULK_PAYLOAD, "bulk_payload", ValueRep.BYTES),
-    ),
-)
-
 
 def validate_object(dictionary: Dictionary, obj) -> ValidationReport:
     """Check a DataObject's elements against the dictionary.
@@ -470,3 +449,8 @@ def load_dictionary_tsv(text: str, version: int) -> Dictionary:
             )
         )
     return Dictionary(version, tuple(definitions))
+
+
+DICT_V1 = load_dictionary_tsv(
+    files("nde4").joinpath("data/dict-v1.tsv").read_text("utf-8"), version=1
+)

@@ -174,7 +174,10 @@ def _policy_to_wire(policy: UsagePolicy) -> dict:
 
 
 def policy_from_wire(document: dict) -> UsagePolicy:
-    """Policy JSON (docs/FORMATS.md) to a UsagePolicy; scenarios use it too."""
+    """Policy JSON (docs/FORMATS.md) to a UsagePolicy; scenarios use it too.
+    A policy that is not a JSON object raises TypeError."""
+    if not isinstance(document, dict):
+        raise TypeError(f"policy must be an object, got {type(document).__name__}")
     return UsagePolicy(
         max_reads=document.get("maxReads"),
         expires=document.get("expires"),

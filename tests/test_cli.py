@@ -101,14 +101,19 @@ def test_sim_run_missing_file_is_runtime_error(tmp_path, capsys):
     assert "cannot read scenario" in out
 
 
-def test_sim_run_malformed_scenario_is_runtime_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,message",
+    [("{not json", "not parseable"), ('{"noise": 5}', "malformed")],
+    ids=["not-json", "wrong-shape"],
+)
+def test_sim_run_malformed_scenario_is_runtime_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.scen"
-    bad.write_text("{not json")
+    bad.write_text(text)
     code, _, err = run_cli(
         capsys, "sim", "run", "--scenario", str(bad), "--out", str(tmp_path / "o")
     )
     assert code == EXIT_RUNTIME
-    assert "not parseable" in err
+    assert message in err
 
 
 def test_sim_run_reports_gaps_with_findings_exit(tmp_path, capsys):

@@ -11,6 +11,7 @@ from nde4.bus import DanglingArchiveRef, Procedure
 from nde4.framing import ORDERS_PAYLOAD_LIMIT
 from nde4.gateway import (
     MAPPING_V1,
+    MUST_MAP_FIELDS,
     Indication,
     MappingTable,
     Route,
@@ -27,7 +28,7 @@ from nde4.gateway import (
 )
 from nde4.identity import InstanceId, TypeId
 from nde4.messages import InspectionOrder, Verdict
-from nde4.semantics import TAG_ORDER_ID, TagCode
+from nde4.semantics import DICT_V1, TAG_ORDER_ID, TagCode
 
 
 def order(station: InstanceId | None = None) -> InspectionOrder:
@@ -156,3 +157,10 @@ def test_packaged_mapping_matches_builtin():
         resources.files("nde4").joinpath("data/mapping-v1.tsv").read_text()
     )
     assert load_mapping_tsv(text, version=1) == MAPPING_V1
+
+
+def test_packaged_mapping_maps_every_must_map_field():
+    for field_name in MUST_MAP_FIELDS:
+        code = MAPPING_V1.code_for(field_name)
+        assert code is not None, field_name
+        assert DICT_V1.get(code).name == field_name

@@ -227,7 +227,10 @@ def test_load_scenario_minimal_and_overrides():
             {
                 "name": "acme",
                 "role": "OPERATOR",
-                "stations": [{"id": "ut-1", "type": "ut-scanner", "methods": ["UT"]}],
+                "stations": [
+                    {"id": "ut-1", "type": "ut-scanner", "methods": ["UT"]},
+                    {"id": "desk-1", "type": "desk"},
+                ],
                 "procedures": [{"id": "proc-ut", "method": "UT", "rows": 4, "cols": 4}],
             }
         ],
@@ -246,6 +249,7 @@ def test_load_scenario_minimal_and_overrides():
     assert config.orders[0].priority == 0
     assert config.orders[0].due_ticks == 86_400
     assert config.noise == DEFAULT_NOISE
+    assert config.companies[0].stations[1] == StationConfig("desk-1", "desk")
     assert load_scenario(json.dumps(document), seed_override=99).seed == 99
 
 
@@ -286,6 +290,13 @@ def test_load_scenario_required_cell_forms():
         '{"companies": [{"role": "OPERATOR"}]}',  # name missing
         '{"companies": [], "requiredCells": [42]}',
         '{"companies": [], "orders": [{"orderId": "ORD-1"}]}',
+        # nested documents of the wrong type
+        '{"companies": [], "noise": 5}',
+        '{"companies": ["x"]}',
+        '{"companies": [{"name": "a", "role": "OEM", "stations": ["s"]}]}',
+        '{"companies": [{"name": "a", "role": "OEM", "procedures": [5]}]}',
+        '{"companies": [], "exchanges": [{"provider": "a", "consumer": "b",'
+        ' "orderId": "ORD-1", "policy": 5}]}',
     ],
 )
 def test_load_scenario_rejects_malformed(text):

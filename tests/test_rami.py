@@ -163,3 +163,15 @@ def test_loci_tsv_round_trip():
 def test_packaged_loci_match_builtin():
     text = resources.files("nde4").joinpath("data/rami-loci.tsv").read_text()
     assert load_loci_tsv(text) == DEFAULT_LOCI
+
+
+def test_named_loci_come_from_the_packaged_file():
+    named = {
+        "orders-bus": ORDERS_BUS_LOCUS,
+        "gateway": GATEWAY_LOCUS,
+        "plantdesign-doc": PLANTDESIGN_DOC_LOCUS,
+        "sovereignty": SOVEREIGNTY_LOCUS,
+    }
+    for component, locus in named.items():
+        assert locus.component == component
+        assert locus in DEFAULT_LOCI

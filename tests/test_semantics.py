@@ -6,6 +6,7 @@ import struct
 import pytest
 
 from conftest import make_object
+from nde4 import semantics
 from nde4.semantics import (
     DICT_V1,
     Dictionary,
@@ -214,6 +215,17 @@ def test_packaged_dictionary_matches_compiled_in():
         importlib.resources.files("nde4") / "data" / "dict-v1.tsv"
     ).read_text("utf-8")
     assert text == dump_dictionary_tsv(DICT_V1)
+
+
+def test_packaged_dictionary_defines_every_code_the_code_names():
+    # validate_object names an absent mandatory tag by DICT_V1's entry
+    constants = {
+        name: code for name, code in vars(semantics).items() if name.startswith("TAG_")
+    }
+    assert constants
+    for name, code in constants.items():
+        assert DICT_V1.get(code).name == name.removeprefix("TAG_").lower()
+    assert all(DICT_V1.get(code) is not None for code in MANDATORY_TAGS)
 
 
 @pytest.mark.parametrize(

@@ -178,7 +178,7 @@ def test_wrong_consumer_rejected_on_the_wire(pair):
 
 
 def test_malformed_wire_requests(pair):
-    provider, _ = pair
+    provider, consumer = pair
     bad_json = encode_frame(Channel.SOVEREIGN, bytes([OP_CONSUME]) + b"{nope")
     payload = decode_frame(provider.handle(bad_json)).payload
     assert payload[0] == OP_ERROR
@@ -201,6 +201,12 @@ def test_malformed_wire_requests(pair):
         payload = decode_frame(provider.handle(request)).payload
         assert payload[0] == OP_ERROR
         assert json.loads(payload[1:])["code"] == "MalformedRequest"
+    cid = provider.offer(FORGE, "obj-1", UsagePolicy(allow_forward=True))
+    consumer.accept(cid)
+    body = json.dumps({"contractId": cid, "from": str(FORGE), "requestedPolicy": 5})
+    request = encode_frame(Channel.SOVEREIGN, bytes([OP_FORWARD]) + body.encode())
+    payload = decode_frame(provider.handle(request)).payload
+    assert json.loads(payload[1:])["code"] == "MalformedRequest"
     wrong_channel = encode_frame(Channel.ARCHIVE, bytes([OP_CONSUME]) + b"{}")
     response = decode_frame(provider.handle(wrong_channel))
     assert response.channel == Channel.SOVEREIGN
