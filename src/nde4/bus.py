@@ -75,8 +75,9 @@ class Procedure:
     def __post_init__(self) -> None:
         if self.method not in METHOD_CODES:
             raise ValueError(f"unknown method code: {self.method!r}")
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must hold at least one cell")
+        if not (1 <= self.rows <= 0xFFFF and 1 <= self.cols <= 0xFFFF):
+            # TAG_GRID_ROWS and TAG_GRID_COLS are u16
+            raise ValueError(f"grid sides must be in 1..65535: {self.rows}x{self.cols}")
         if not 0 < self.reject_threshold <= 100:
             raise ValueError(
                 f"reject threshold must be in (0, 100]: {self.reject_threshold}"

@@ -9,11 +9,13 @@ the archive channel, and silently chunking would defeat that routing.
 
 ARCHIVE and SOVEREIGN payloads share one request/response convention,
 implemented once here: 1-byte opcode + body, canonical JSON, and failures
-answered as ERROR + {"code", "detail"}.
+answered as ERROR + {"code", "detail"}. JSON documents read through key
+tables (scenario files, the policy JSON) share one JSON type rule, also here.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import struct
 from dataclasses import dataclass
@@ -148,3 +150,104 @@ def serve_frame(channel: Channel, request: Handler, frame_bytes: bytes) -> bytes
         return encode_frame(channel, request(frame.payload))
     detail = f"not a {channel.name.lower()} request"
     return encode_frame(channel, error_payload("MalformedRequest", detail))
+
+
+# --- typed JSON documents: scenario files and the policy JSON ----------------
+
+NULL = type(None)  # the kind of a JSON null
+_JSON_NAMES = {bool: "bool", int: "int", float: "float", str: "str",
+               list: "list", dict: "object", NULL: "null"}
+
+
+class JsonTypeError(ValueError):
+    """A JSON value of the wrong type, or a missing or unknown key. `path`
+    holds the keys and list indices that lead to it, innermost first."""
+
+    def __init__(self, problem: str, *path: str | int):
+        super().__init__(problem)
+        self.path = list(path)
+
+    def __str__(self) -> str:
+        steps = (f"[{s}]" if type(s) is int else f".{s}" for s in reversed(self.path))
+        where = "".join(steps).lstrip(".")
+        return f"{where}: {self.args[0]}" if where else self.args[0]
+
+
+def _expected(kind, value) -> JsonTypeError:
+    names = " or ".join(_JSON_NAMES[t] for t in (kind if type(kind) is dict else [kind]))
+    got = _JSON_NAMES.get(type(value), type(value).__name__)
+    return JsonTypeError(f"expected {names}, got {got}")
+
+
+def _json_value(value, kind):
+    """`value` checked against `kind`: bool, int, float, str or NULL for that
+    JSON type exactly (a bool is no int, but a float kind takes an int); a
+    dict from JSON type to kind for a value of any one of those types; or
+    else a builder called with the value, whose ValueError is a mismatch."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(kind) is dict:
+        if type(value) not in kind:
+            raise _expected(kind, value)
+        return _json_value(value, kind[type(value)])
+    if kind in _JSON_NAMES:
+        raise _expected(kind, value)
+    try:
+        return kind(value)
+    except JsonTypeError:
+        raise
+    except ValueError as exc:
+        raise JsonTypeError(str(exc)) from exc
+
+
+def json_table(make: Callable, rows: tuple) -> Callable:
+    """Builder of `make(**arguments)` from a JSON object, by `rows` of
+    (parameter of `make`, document key, kind as in _json_value). A key is
+    required exactly when its parameter has no default; a key not in `rows`
+    is refused. The builder keeps its `rows`."""
+    by_key = {key: (name, kind) for name, key, kind in rows}
+    parameters = inspect.signature(make).parameters
+    required = frozenset(key for name, key, _ in rows
+                         if parameters[name].default is inspect.Parameter.empty)
+
+    def build(document):
+        if type(document) is not dict:
+            raise _expected(dict, document)
+        arguments = {}
+        for key, value in document.items():
+            if key not in by_key:
+                raise JsonTypeError("unknown key", key)
+            name, kind = by_key[key]
+            try:
+                arguments[name] = value if type(value) is kind else _json_value(value, kind)
+            except JsonTypeError as exc:
+                exc.path.append(key)
+                raise
+        if not required <= document.keys():
+            raise JsonTypeError("required key missing", min(required - document.keys()))
+        return make(**arguments)
+
+    build.rows = rows
+    return build
+
+
+def json_list(kind, collect: Callable = tuple) -> Callable:
+    """Builder of `collect(entries)` from a JSON list of values of `kind`,
+    which the builder keeps as `item`."""
+
+    def build(value):
+        if type(value) is not list:
+            raise _expected(list, value)
+        entries = []
+        for index, entry in enumerate(value):
+            try:
+                entries.append(entry if type(entry) is kind else _json_value(entry, kind))
+            except JsonTypeError as exc:
+                exc.path.append(index)
+                raise
+        return collect(entries)
+
+    build.item = kind
+    return build

@@ -25,7 +25,9 @@ from typing import Callable, Iterable
 from .archive import Archive, DataObject, Element
 from .bus import OrdersBus, Procedure, UnknownStation, WrongState as BusWrongState
 from .errors import Nde4Error
-from .framing import Channel, OversizedPayload, canonical_json, decode_frame
+from .framing import (
+    Channel, OversizedPayload, canonical_json, decode_frame, json_list, json_table,
+)
 from .gateway import (
     Indication,
     archive_result_to_kpis,
@@ -59,6 +61,7 @@ from .rami import (
     Hierarchy,
     Layer,
     Lifecycle,
+    UnknownComponent,
     locate,
 )
 from .semantics import (
@@ -77,6 +80,7 @@ from .semantics import (
     TAG_PROCEDURE_ID,
     TagCode,
     encode_value,
+    is_id_token,
     DICT_V1,
     METHOD_CODES,
     interpret,
@@ -192,7 +196,7 @@ class ExchangePlan:
     provider: str
     consumer: str
     order_id: str
-    policy: UsagePolicy
+    policy: UsagePolicy = UsagePolicy()
     attempts: int = 1
     forwards: tuple[ForwardPlan, ...] = ()
 
@@ -206,9 +210,9 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    seed: int
-    companies: tuple[CompanyConfig, ...]
-    orders: tuple[OrderPlan, ...]
+    seed: int = 0
+    companies: tuple[CompanyConfig, ...] = ()
+    orders: tuple[OrderPlan, ...] = ()
     exchanges: tuple[ExchangePlan, ...] = ()
     sovereignty: bool = False
     faults: tuple[FaultSpec, ...] = ()
@@ -225,177 +229,111 @@ class ScenarioConfig:
 
 
 # --- config loading -----------------------------------------------------------
+# One key table per scenario object: (parameter, document key, JSON kind or
+# nested builder); see framing.json_table for the rules.
 
-def _required_cells_from_config(entries) -> frozenset[RamiCoordinate]:
-    collected: set[RamiCoordinate] = set()
-    for entry in entries:
-        if isinstance(entry, str):
-            collected.add(RamiCoordinate.from_text(entry))
-        elif isinstance(entry, dict):
-            collected |= rami_cells(
-                [Layer(v) for v in entry["layers"]],
-                [Lifecycle(v) for v in entry["lifecycles"]],
-                [Hierarchy(v) for v in entry["hierarchies"]],
-            )
-        else:
-            raise ValueError(f"bad required-cell entry: {entry!r}")
-    return frozenset(collected)
+def _cell(text: str) -> frozenset[RamiCoordinate]:
+    return frozenset((RamiCoordinate.from_text(text),))
 
 
-def _present(document, keys) -> dict:
-    """Keyword arguments for the optional keys a scenario document carries.
-
-    `keys` lists (dataclass field, document key, cast). A key the document
-    lacks is left out, so the dataclass default applies. A document that is
-    not a JSON object raises TypeError.
-    """
-    if not isinstance(document, dict):
-        raise TypeError(f"expected an object, got {type(document).__name__}")
-    present = {}
-    for name, key, cast in keys:
-        if key in document:
-            present[name] = cast(document[key])
-    return present
+def _child(child_id: str, child_type: str) -> tuple[str, str]:
+    return child_id, child_type
 
 
-def _verbatim(value):
-    return value
-
-
-def _each(build: Callable) -> Callable:
-    """Cast for a list of documents: the tuple of what `build` makes of each."""
-    return lambda documents: tuple(map(build, documents))
-
-
-_NOISE_KEYS = (
+_NOISE = json_table(NoiseModel, (
     ("noise_max", "noiseMax", float),
     ("detection_floor", "detectionFloor", float),
     ("peak_lo", "peakLo", float),
     ("peak_hi", "peakHi", float),
     ("max_defects", "maxDefects", int),
     ("max_defect_extent", "maxDefectExtent", int),
-)
+))
 
-
-def _noise(document) -> NoiseModel:
-    return NoiseModel(**_present(document, _NOISE_KEYS))
-
-
-_STATION_KEYS = (
-    ("methods", "methods", tuple),
+_STATION = json_table(StationConfig, (
+    ("station_id", "id", str),
+    ("type_name", "type", str),
+    ("methods", "methods", json_list(str)),
     ("person", "person", bool),
-    ("display_name", "displayName", _verbatim),
-    (
-        "children",
-        "children",
-        lambda children: tuple((child["id"], child["type"]) for child in children),
-    ),
-)
+    ("display_name", "displayName", str),
+    ("children", "children", json_list(json_table(_child, (
+        ("child_id", "id", str),
+        ("child_type", "type", str),
+    )))),
+))
 
-
-def _station(document) -> StationConfig:
-    return StationConfig(
-        station_id=document["id"],
-        type_name=document["type"],
-        **_present(document, _STATION_KEYS),
-    )
-
-
-_PROCEDURE_KEYS = (
+_PROCEDURE = json_table(Procedure, (
+    ("procedure_id", "id", str),
+    ("method", "method", str),
     ("rows", "rows", int),
     ("cols", "cols", int),
     ("reject_threshold", "rejectThreshold", float),
     ("min_refs", "minRefs", int),
-)
+))
 
+_COMPANY = json_table(CompanyConfig, (
+    ("name", "name", str),
+    ("role", "role", str),
+    ("stations", "stations", json_list(_STATION)),
+    ("procedures", "procedures", json_list(_PROCEDURE)),
+))
 
-def _procedure(document) -> Procedure:
-    return Procedure(
-        procedure_id=document["id"],
-        method=document["method"],
-        **_present(document, _PROCEDURE_KEYS),
-    )
-
-
-_COMPANY_KEYS = (
-    ("stations", "stations", _each(_station)),
-    ("procedures", "procedures", _each(_procedure)),
-)
-
-
-def _company(document) -> CompanyConfig:
-    return CompanyConfig(
-        name=document["name"],
-        role=document["role"],
-        **_present(document, _COMPANY_KEYS),
-    )
-
-
-_ORDER_KEYS = (
+_ORDER = json_table(OrderPlan, (
+    ("order_id", "orderId", str),
+    ("company", "company", str),
+    ("component_type", "componentType", str),
+    ("component_serial", "componentSerial", str),
+    ("procedure_id", "procedureId", str),
     ("priority", "priority", int),
     ("due_ticks", "dueTicks", int),
-    ("station_id", "station", _verbatim),
-)
+    ("station_id", "station", str),
+))
 
-
-def _order(document) -> OrderPlan:
-    return OrderPlan(
-        order_id=document["orderId"],
-        company=document["company"],
-        component_type=document["componentType"],
-        component_serial=document["componentSerial"],
-        procedure_id=document["procedureId"],
-        **_present(document, _ORDER_KEYS),
-    )
-
-
-_FORWARD_KEYS = (
+_FORWARD = json_table(ForwardPlan, (
+    ("to", "to", str),
     ("attempts", "attempts", int),
     ("policy", "policy", policy_from_wire),
-)
+))
 
-
-def _forward(document) -> ForwardPlan:
-    return ForwardPlan(to=document["to"], **_present(document, _FORWARD_KEYS))
-
-
-_EXCHANGE_KEYS = (
+_EXCHANGE = json_table(ExchangePlan, (
+    ("provider", "provider", str),
+    ("consumer", "consumer", str),
+    ("order_id", "orderId", str),
+    ("policy", "policy", policy_from_wire),
     ("attempts", "attempts", int),
-    ("forwards", "forwards", _each(_forward)),
-)
+    ("forwards", "forwards", json_list(_FORWARD)),
+))
 
-
-def _exchange(document) -> ExchangePlan:
-    return ExchangePlan(
-        provider=document["provider"],
-        consumer=document["consumer"],
-        order_id=document["orderId"],
-        policy=policy_from_wire(document.get("policy", {})),
-        **_present(document, _EXCHANGE_KEYS),
-    )
-
-
-_FAULT_KEYS = (
-    ("order_id", "orderId", _verbatim),
+_FAULT = json_table(FaultSpec, (
+    ("kind", "kind", str),
+    ("order_id", "orderId", str),
     ("size", "size", int),
-)
+))
 
+_CELL_PRODUCT = json_table(rami_cells, (
+    ("layers", "layers", json_list(Layer)),
+    ("lifecycles", "lifecycles", json_list(Lifecycle)),
+    ("hierarchies", "hierarchies", json_list(Hierarchy)),
+))
 
-def _fault(document) -> FaultSpec:
-    if isinstance(document, str):
-        return FaultSpec(kind=document)
-    return FaultSpec(kind=document["kind"], **_present(document, _FAULT_KEYS))
-
-
-_SCENARIO_KEYS = (
-    ("exchanges", "exchanges", _each(_exchange)),
+_SCENARIO = json_table(ScenarioConfig, (
+    ("seed", "seed", int),
+    ("companies", "companies", json_list(_COMPANY)),
+    ("orders", "orders", json_list(_ORDER)),
+    ("exchanges", "exchanges", json_list(_EXCHANGE)),
     ("sovereignty", "sovereignty", bool),
-    ("faults", "faults", _each(_fault)),
-    ("required_cells", "requiredCells", _required_cells_from_config),
-    ("allowlist", "allowlist", tuple),
-    ("active_components", "activeComponents", tuple),
-    ("noise", "noise", _noise),
-)
+    ("faults", "faults", json_list({str: FaultSpec, dict: _FAULT})),
+    (
+        "required_cells",
+        "requiredCells",
+        json_list(
+            {str: _cell, dict: _CELL_PRODUCT},
+            lambda parts: frozenset().union(*parts),
+        ),
+    ),
+    ("allowlist", "allowlist", json_list(str)),
+    ("active_components", "activeComponents", json_list(str)),
+    ("noise", "noise", _NOISE),
+))
 
 
 def load_scenario(text: str, seed_override: int | None = None) -> ScenarioConfig:
@@ -404,16 +342,9 @@ def load_scenario(text: str, seed_override: int | None = None) -> ScenarioConfig
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigInvalid(f"scenario not parseable: {exc}") from exc
-    if not isinstance(document, dict):
-        raise ConfigInvalid("scenario document must be an object")
     try:
-        config = ScenarioConfig(
-            seed=int(document.get("seed", 0)),
-            companies=tuple(map(_company, document.get("companies", ()))),
-            orders=tuple(map(_order, document.get("orders", ()))),
-            **_present(document, _SCENARIO_KEYS),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        config = _SCENARIO(document)
+    except ValueError as exc:
         raise ConfigInvalid(f"scenario malformed: {exc}") from exc
     if seed_override is not None:
         config = replace(config, seed=seed_override)
@@ -460,15 +391,16 @@ def validate_config(config: ScenarioConfig) -> None:
             if procedure.procedure_id in procedure_ids:
                 problems.append(f"duplicate procedure id {procedure.procedure_id!r}")
             procedure_ids.add(procedure.procedure_id)
-            if procedure.rows > 0xFFFF or procedure.cols > 0xFFFF:
-                problems.append(
-                    f"procedure {procedure.procedure_id}: grid side exceeds u16"
-                )
+            if not is_id_token(procedure.procedure_id):
+                problems.append(f"bad procedure id {procedure.procedure_id!r}")
     order_ids: set[str] = set()
+    type_problems: dict[str, str] = {}  # componentType -> "" or its problem
     for plan in config.orders:
         if plan.order_id in order_ids:
             problems.append(f"duplicate order id {plan.order_id!r}")
         order_ids.add(plan.order_id)
+        if not is_id_token(plan.order_id):
+            problems.append(f"bad order id {plan.order_id!r}")
         company = companies.get(plan.company)
         if company is None:
             problems.append(f"order {plan.order_id}: unknown company {plan.company!r}")
@@ -489,14 +421,16 @@ def validate_config(config: ScenarioConfig) -> None:
                 f"order {plan.order_id}: bad component serial "
                 f"{plan.component_serial!r}"
             )
-        try:
-            component_type = parse_id(plan.component_type)
-            if not isinstance(component_type, TypeId):
-                problems.append(
-                    f"order {plan.order_id}: componentType must be a type URN"
-                )
-        except Nde4Error as exc:
-            problems.append(f"order {plan.order_id}: {exc}")
+        problem = type_problems.get(plan.component_type)
+        if problem is None:
+            try:
+                is_type = isinstance(parse_id(plan.component_type), TypeId)
+                problem = "" if is_type else "componentType must be a type URN"
+            except Nde4Error as exc:
+                problem = str(exc)
+            type_problems[plan.component_type] = problem
+        if problem:
+            problems.append(f"order {plan.order_id}: {problem}")
     for exchange in config.exchanges:
         for company_name in (exchange.provider, exchange.consumer):
             if companies.get(company_name) is None:
@@ -509,6 +443,11 @@ def validate_config(config: ScenarioConfig) -> None:
     for company_name in config.allowlist:
         if companies.get(company_name) is None:
             problems.append(f"allowlist names unknown company {company_name!r}")
+    for component in config.active_components:
+        try:
+            locate(component)
+        except UnknownComponent:
+            problems.append(f"unknown component {component!r}")
     noise = config.noise
     if not 0 < noise.detection_floor <= 100:
         problems.append("detection floor must be in (0, 100]")
@@ -519,9 +458,7 @@ def validate_config(config: ScenarioConfig) -> None:
     for fault in config.faults:
         try:
             check_fault_applicable(config, fault)
-        except FaultNotApplicable as exc:
-            problems.append(str(exc))
-        except ConfigInvalid as exc:
+        except (FaultNotApplicable, ConfigInvalid) as exc:
             problems.append(str(exc))
     if problems:
         raise ConfigInvalid("; ".join(problems))

@@ -24,8 +24,8 @@ from typing import Callable, Iterable
 from .archive import Archive, DataObject, UnknownUID, decode_object
 from .errors import Nde4Error
 from .framing import (
-    OP_ERROR, Channel, canonical_json, decode_frame, dispatch, encode_frame,
-    error_payload, json_object, serve_frame,
+    NULL, OP_ERROR, Channel, canonical_json, decode_frame, dispatch, encode_frame,
+    error_payload, json_object, json_table, serve_frame,
 )
 from .identity import InstanceId
 from .semantics import is_id_token
@@ -105,10 +105,10 @@ class UsagePolicy:
 def policy_problems(policy: UsagePolicy, now_text: str) -> tuple[str, ...]:
     problems = []
     if policy.max_reads is not UNLIMITED:
-        if not isinstance(policy.max_reads, int) or policy.max_reads < 1:
+        if type(policy.max_reads) is not int or policy.max_reads < 1:
             problems.append(f"max_reads must be >= 1 or UNLIMITED: {policy.max_reads!r}")
     if policy.expires is not None:
-        if not is_valid_datetime(policy.expires):
+        if type(policy.expires) is not str or not is_valid_datetime(policy.expires):
             problems.append(f"expires not a valid datetime: {policy.expires!r}")
         elif policy.expires <= now_text:
             problems.append(f"expires not in the future: {policy.expires}")
@@ -164,26 +164,17 @@ def replay(policy: UsagePolicy, events: Iterable[AuditEvent]) -> tuple[str, int]
     return state, reads
 
 
+# policy JSON (docs/FORMATS.md) to a UsagePolicy; scenarios use it too
+policy_from_wire = json_table(UsagePolicy, (
+    ("max_reads", "maxReads", {int: int, NULL: NULL}),
+    ("expires", "expires", {str: str, NULL: NULL}),
+    ("allow_forward", "allowForward", bool),
+    ("purpose", "purpose", str),
+))
+
+
 def _policy_to_wire(policy: UsagePolicy) -> dict:
-    return {
-        "maxReads": policy.max_reads,
-        "expires": policy.expires,
-        "allowForward": policy.allow_forward,
-        "purpose": policy.purpose,
-    }
-
-
-def policy_from_wire(document: dict) -> UsagePolicy:
-    """Policy JSON (docs/FORMATS.md) to a UsagePolicy; scenarios use it too.
-    A policy that is not a JSON object raises TypeError."""
-    if not isinstance(document, dict):
-        raise TypeError(f"policy must be an object, got {type(document).__name__}")
-    return UsagePolicy(
-        max_reads=document.get("maxReads"),
-        expires=document.get("expires"),
-        allow_forward=bool(document.get("allowForward", False)),
-        purpose=document.get("purpose", "inspection"),
-    )
+    return {key: getattr(policy, name) for name, key, _ in policy_from_wire.rows}
 
 
 def clamp_policy(parent: UsagePolicy, remaining: int | None,

@@ -74,6 +74,8 @@ def test_procedure_field_checks():
     with pytest.raises(ValueError):
         Procedure("p", "UT", rows=0)
     with pytest.raises(ValueError):
+        Procedure("p", "UT", rows=0x10000)  # TAG_GRID_ROWS is u16
+    with pytest.raises(ValueError):
         Procedure("p", "UT", reject_threshold=0)
     with pytest.raises(ValueError):
         Procedure("p", "UT", reject_threshold=101)

@@ -103,8 +103,12 @@ def test_sim_run_missing_file_is_runtime_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "text,message",
-    [("{not json", "not parseable"), ('{"noise": 5}', "malformed")],
-    ids=["not-json", "wrong-shape"],
+    [
+        ("{not json", "not parseable"),
+        ('{"noise": 5}', "malformed"),
+        ('{"sovereignty": "false"}', "sovereignty: expected bool, got str"),
+    ],
+    ids=["not-json", "wrong-shape", "wrong-type"],
 )
 def test_sim_run_malformed_scenario_is_runtime_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.scen"
@@ -114,6 +118,7 @@ def test_sim_run_malformed_scenario_is_runtime_error(tmp_path, capsys, text, mes
     )
     assert code == EXIT_RUNTIME
     assert message in err
+    assert "Traceback" not in err
 
 
 def test_sim_run_reports_gaps_with_findings_exit(tmp_path, capsys):

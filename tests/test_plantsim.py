@@ -32,6 +32,7 @@ from nde4.plantsim import (
     ScenarioConfig,
     ScenarioDeadlock,
     StationConfig,
+    _SCENARIO,
     _derive_rng,
     acquire,
     check_fault_applicable,
@@ -47,6 +48,7 @@ from nde4.semantics import TAG_AMPLITUDE_GRID, TAG_CALIBRATION_DUE, TAG_OBJECT_U
 from nde4.sovereignty import UsagePolicy
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+FORMATS = Path(__file__).resolve().parent.parent / "docs" / "FORMATS.md"
 
 PIPE_WELD = "urn:nde4:type:acme:pipe-weld"
 
@@ -173,6 +175,21 @@ def test_base_config_is_valid():
             lambda c: replace(c, noise=replace(DEFAULT_NOISE, max_defect_extent=0)),
             "defect",
         ),
+        (lambda c: replace(c, active_components=("nope",)), "unknown component"),
+        (
+            lambda c: replace(c, orders=(replace(c.orders[0], order_id="ORD 10"),)),
+            "bad order id",
+        ),
+        (
+            lambda c: replace(
+                c,
+                companies=(
+                    replace(c.companies[0], procedures=(Procedure("proc vt", "VT"),)),
+                ),
+                orders=(replace(c.orders[0], procedure_id="proc vt"),),
+            ),
+            "bad procedure id",
+        ),
     ],
 )
 def test_validate_config_rejects(mutate, fragment):
@@ -281,6 +298,65 @@ def test_load_scenario_required_cell_forms():
     assert len(config.required_cells) == 3
 
 
+# wrong JSON types, unknown and missing keys: (document, ConfigInvalid message)
+WRONG_TYPES = [
+    ('{"sovereignty": "false"}', "sovereignty: expected bool, got str"),
+    (
+        '{"companies": [{"name": "a", "role": "OEM", "stations":'
+        ' [{"id": "s", "type": "t", "methods": "UT"}]}]}',
+        "companies[0].stations[0].methods: expected list, got str",
+    ),
+    (
+        '{"companies": [{"name": "a", "role": "OEM", "procedures":'
+        ' [{"id": "p", "method": "UT", "rows": 8.7}]}]}',
+        "companies[0].procedures[0].rows: expected int, got float",
+    ),
+    (
+        '{"companies": [{"name": "a", "role": "OEM", "procedures":'
+        ' [{"id": "p", "method": "UT", "rows": true}]}]}',
+        "companies[0].procedures[0].rows: expected int, got bool",
+    ),
+    (
+        '{"companies": [{"name": "a", "role": "OEM", "procedures":'
+        ' [{"id": "p", "method": "UT", "cols": 8.0}]}]}',
+        "companies[0].procedures[0].cols: expected int, got float",
+    ),
+    ('{"seed": 1.5}', "seed: expected int, got float"),
+    ('{"allowlist": "acme"}', "allowlist: expected list, got str"),
+    (
+        '{"companies": [{"name": "a", "role": "OEM", "stations":'
+        ' [{"id": "s", "type": "t"}, {"id": 5, "type": "t"}]}]}',
+        "companies[0].stations[1].id: expected str, got int",
+    ),
+    (
+        '{"orders": [{"orderId": "ORD-1", "company": "a", "componentType": 5,'
+        ' "componentSerial": "SN-1", "procedureId": "p"}]}',
+        "orders[0].componentType: expected str, got int",
+    ),
+    (
+        '{"exchanges": [{"provider": "a", "consumer": "b", "orderId": "ORD-1",'
+        ' "policy": {"allowForward": "false"}}]}',
+        "exchanges[0].policy.allowForward: expected bool, got str",
+    ),
+    (
+        '{"faults": [{"kind": "DROP_GATEWAY", "orderId": null}]}',
+        "faults[0].orderId: expected str, got null",
+    ),
+    ('{"sovreignty": true}', "sovreignty: unknown key"),
+    (
+        '{"companies": [{"name": "a", "role": "OEM", "stations": [{"id": "s"}]}]}',
+        "companies[0].stations[0].type: required key missing",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", WRONG_TYPES)
+def test_load_scenario_names_the_path(text, message):
+    with pytest.raises(ConfigInvalid) as info:
+        load_scenario(text)
+    assert str(info.value) == f"scenario malformed: {message}"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -297,11 +373,42 @@ def test_load_scenario_required_cell_forms():
         '{"companies": [{"name": "a", "role": "OEM", "procedures": [5]}]}',
         '{"companies": [], "exchanges": [{"provider": "a", "consumer": "b",'
         ' "orderId": "ORD-1", "policy": 5}]}',
+        *(text for text, _ in WRONG_TYPES),
     ],
 )
 def test_load_scenario_rejects_malformed(text):
     with pytest.raises(ConfigInvalid):
         load_scenario(text)
+
+
+def _table_keys(kind) -> set[str]:
+    """Every document key a scenario builder reads, nested tables included."""
+    if isinstance(kind, dict):
+        return set().union(*map(_table_keys, kind.values()))
+    if hasattr(kind, "item"):
+        return _table_keys(kind.item)
+    keys = set()
+    for _, key, nested in getattr(kind, "rows", ()):
+        keys |= {key} | _table_keys(nested)
+    return keys
+
+
+def _document_keys(value) -> set[str]:
+    if isinstance(value, dict):
+        return set(value).union(*map(_document_keys, value.values()))
+    if isinstance(value, list):
+        return set().union(*map(_document_keys, value))
+    return set()
+
+
+def test_formats_doc_states_every_scenario_key():
+    text = FORMATS.read_text("utf-8")
+    section = text.split("\n## Scenarios\n")[1].split("\n## ")[0]
+    example = json.loads(section.split("```json\n")[1].split("\n```")[0])
+    keys = _table_keys(_SCENARIO)
+    assert {"person", "displayName", "children", "station", "maxReads"} <= keys
+    assert [key for key in sorted(keys) if f"`{key}`" not in section] == []
+    assert _document_keys(example) <= keys
 
 
 def test_shipped_scenarios_parse():

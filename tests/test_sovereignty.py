@@ -98,6 +98,9 @@ def test_offer_guards(pair, clock):
         provider.offer(FORGE, "obj-404", UsagePolicy())
     with pytest.raises(InvalidPolicy):
         provider.offer(FORGE, "obj-1", UsagePolicy(max_reads=0))
+    for wrong_type in (UsagePolicy(max_reads=True), UsagePolicy(expires=5)):
+        with pytest.raises(InvalidPolicy):
+            provider.offer(FORGE, "obj-1", wrong_type)
     with pytest.raises(WrongConsumer):
         provider.offer(AERO, "obj-1", UsagePolicy())  # no link to aero
     guarded = Connector("guarded", STEEL, clock, archive=provider._archive,
@@ -203,10 +206,16 @@ def test_malformed_wire_requests(pair):
         assert json.loads(payload[1:])["code"] == "MalformedRequest"
     cid = provider.offer(FORGE, "obj-1", UsagePolicy(allow_forward=True))
     consumer.accept(cid)
-    body = json.dumps({"contractId": cid, "from": str(FORGE), "requestedPolicy": 5})
-    request = encode_frame(Channel.SOVEREIGN, bytes([OP_FORWARD]) + body.encode())
-    payload = decode_frame(provider.handle(request)).payload
-    assert json.loads(payload[1:])["code"] == "MalformedRequest"
+    # a requested policy that is no object, or holds a value of the wrong type
+    for requested in (
+        5, {"allowForward": "false"}, {"maxReads": True}, {"expires": 5}
+    ):
+        body = json.dumps(
+            {"contractId": cid, "from": str(FORGE), "requestedPolicy": requested}
+        )
+        request = encode_frame(Channel.SOVEREIGN, bytes([OP_FORWARD]) + body.encode())
+        payload = decode_frame(provider.handle(request)).payload
+        assert json.loads(payload[1:])["code"] == "MalformedRequest"
     wrong_channel = encode_frame(Channel.ARCHIVE, bytes([OP_CONSUME]) + b"{}")
     response = decode_frame(provider.handle(wrong_channel))
     assert response.channel == Channel.SOVEREIGN
