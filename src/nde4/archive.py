@@ -11,6 +11,11 @@ Persistence is one file per object ("<uid>.ndeo") plus an append-only
 post-hoc edit of an object file or a chain line is detectable, and the
 first tampered index is identifiable. There is no delete operation on the
 public surface, by design.
+
+Queries are answered from an in-memory index of each committed object's
+order id, component serial and method. Opening a store reads only
+"chain.log"; the first query after an open builds the index by reading each
+object file once, and later stores add to it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import Nde4Error, ValidationFailed
-from .framing import OP_ERROR, canonical_json, dispatch, json_object
+from .framing import NULL, OP_ERROR, canonical_json, dispatch, json_object, json_table
 from .semantics import (
     DICT_V1,
     TAG_COMPONENT_SERIAL,
@@ -72,6 +77,10 @@ class DuplicateUID(Nde4Error):
 
 class UnknownUID(Nde4Error):
     """No stored object has this UID."""
+
+
+class UnreadableObject(Nde4Error):
+    """The file of a committed object is missing or cannot be read."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,6 +255,34 @@ def data_dir() -> Path:
     return Path(os.environ.get(DATA_DIR_ENV, DATA_DIR_DEFAULT))
 
 
+class _QueryIndex:
+    """Each indexed uid's query keys (order id, component serial, method),
+    and per key position one posting list of uids per value, in store order."""
+
+    def __init__(self):
+        self.keys: dict[str, tuple[str | None, ...]] = {}
+        self.postings: tuple[dict[str | None, list[str]], ...] = ({}, {}, {})
+
+    def add(self, uid: str, obj: DataObject) -> None:
+        keys = (obj.order_id, obj.component_serial, obj.method_code)
+        self.keys[uid] = keys
+        for postings, value in zip(self.postings, keys):
+            postings.setdefault(value, []).append(uid)
+
+    def match(self, criteria: tuple[str | None, ...]) -> tuple[str, ...]:
+        """UIDs matching every criterion that is not None (at least one):
+        the shortest posting list among them, filtered by the others."""
+        given = [(k, value) for k, value in enumerate(criteria) if value is not None]
+        shortest = min(
+            (self.postings[k].get(value, ()) for k, value in given), key=len
+        )
+        keys = self.keys
+        return tuple(
+            uid for uid in shortest
+            if all(keys[uid][k] == value for k, value in given)
+        )
+
+
 class Archive:
     """Single-writer store; reads see only fully committed objects."""
 
@@ -261,6 +298,7 @@ class Archive:
         self._dictionary = dictionary
         self._lock = threading.Lock()
         self._uids: dict[str, None] = {}  # store order; O(1) membership
+        self._index: _QueryIndex | None = None  # built by the first query
         self._last_digest = ZERO_DIGEST
         self._reload()
 
@@ -274,9 +312,17 @@ class Archive:
     def _object_path(self, uid: str) -> Path:
         return self._dir / f"{uid}{OBJECT_SUFFIX}"
 
+    def _read_object(self, uid: str) -> bytes:
+        try:
+            return self._object_path(uid).read_bytes()
+        except OSError as exc:
+            raise UnreadableObject(f"{uid}: {exc.strerror or exc}") from exc
+
     def _reload(self) -> None:
-        """Rebuild the in-memory index from chain.log (store order)."""
+        """Rebuild the uid list from chain.log (store order); the query
+        index waits for the first query."""
         self._uids = {}
+        self._index = None
         self._last_digest = ZERO_DIGEST
         chain_path = self._chain_path()
         if not chain_path.exists():
@@ -319,6 +365,8 @@ class Archive:
                 raise
             temp.rename(path)
             self._uids[uid] = None
+            if self._index is not None:
+                self._index.add(uid, obj)
             self._last_digest = digest(record.canonical_bytes())
         return uid
 
@@ -327,14 +375,14 @@ class Archive:
             known = uid in self._uids
         if not known:
             raise UnknownUID(uid)
-        return decode_object(self._object_path(uid).read_bytes())
+        return decode_object(self._read_object(uid))
 
     def fetch_bytes(self, uid: str) -> bytes:
         with self._lock:
             known = uid in self._uids
         if not known:
             raise UnknownUID(uid)
-        return self._object_path(uid).read_bytes()
+        return self._read_object(uid)
 
     def has(self, uid: str) -> bool:
         with self._lock:
@@ -351,19 +399,16 @@ class Archive:
         method: str | None = None,
     ) -> tuple[str, ...]:
         """UIDs in store order matching every supplied criterion."""
+        criteria = (order_id, component_serial, method)
         with self._lock:
-            uids = tuple(self._uids)
-        matched = []
-        for uid in uids:
-            obj = decode_object(self._object_path(uid).read_bytes())
-            if order_id is not None and obj.order_id != order_id:
-                continue
-            if component_serial is not None and obj.component_serial != component_serial:
-                continue
-            if method is not None and obj.method_code != method:
-                continue
-            matched.append(uid)
-        return tuple(matched)
+            if criteria == (None, None, None):
+                return tuple(self._uids)
+            if self._index is None:
+                index = _QueryIndex()
+                for uid in self._uids:
+                    index.add(uid, decode_object(self._read_object(uid)))
+                self._index = index
+            return self._index.match(criteria)
 
     def chain_records(self) -> tuple[ChainRecord, ...]:
         chain_path = self._chain_path()
@@ -424,6 +469,12 @@ class ArchiveWire:
 
     def __init__(self, archive: Archive):
         self._archive = archive
+        # QUERY body to Archive.query: each criterion a string, null if omitted
+        self._query_body = json_table(archive.query, (
+            ("order_id", "orderId", {str: str, NULL: NULL}),
+            ("component_serial", "componentSerial", {str: str, NULL: NULL}),
+            ("method", "method", {str: str, NULL: NULL}),
+        ))
 
     def request(self, payload: bytes) -> bytes:
         handlers = {OP_STORE: self._store, OP_FETCH: self._fetch, OP_QUERY: self._query}
@@ -438,10 +489,5 @@ class ArchiveWire:
         return bytes([OP_RESULT]) + self._archive.fetch_bytes(uid)
 
     def _query(self, body: bytes) -> bytes:
-        criteria = json_object(body)
-        uids = self._archive.query(
-            order_id=criteria.get("orderId"),
-            component_serial=criteria.get("componentSerial"),
-            method=criteria.get("method"),
-        )
+        uids = self._query_body(json_object(body))
         return bytes([OP_RESULT]) + canonical_json({"uids": list(uids)})

@@ -30,13 +30,13 @@ _SERIAL_TOKEN_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9-]*")
 
 
 def is_name_token(value: str) -> bool:
-    return bool(value) and len(value) <= MAX_TOKEN_LENGTH and bool(
+    return isinstance(value, str) and 0 < len(value) <= MAX_TOKEN_LENGTH and bool(
         _NAME_TOKEN_RE.fullmatch(value)
     )
 
 
 def is_serial_token(value: str) -> bool:
-    return bool(value) and len(value) <= MAX_TOKEN_LENGTH and bool(
+    return isinstance(value, str) and 0 < len(value) <= MAX_TOKEN_LENGTH and bool(
         _SERIAL_TOKEN_RE.fullmatch(value)
     )
 

@@ -18,7 +18,8 @@ from collections.abc import Container, Iterable
 from dataclasses import dataclass, field, replace
 
 from .errors import Nde4Error
-from .identity import InstanceId, TypeId, parse_id
+from .framing import JsonTypeError, json_list, json_table
+from .identity import InstanceId, ParseError, TypeId, parse_id
 from .semantics import (
     DICT_V1,
     SEVERITY_ERROR,
@@ -72,8 +73,8 @@ class ServiceDesc:
 
 @dataclass(frozen=True, slots=True)
 class ManifestHeader:
-    shell_type_id: TypeId | None
-    asset_instance_id: InstanceId | None
+    shell_type_id: TypeId | None = None
+    asset_instance_id: InstanceId | None = None
     display_name: str = ""
 
 
@@ -335,42 +336,53 @@ def manifest_to_dict(manifest: Manifest) -> dict:
     }
 
 
+def _id_text(kind: type, blank: bool = False) -> dict:
+    """JSON kind of an id of class `kind` in its text form; with `blank`, an
+    empty string stands for no id (validate_manifest reports it missing)."""
+
+    def build(text: str):
+        if blank and not text:
+            return None
+        try:
+            parsed = parse_id(text)
+        except ParseError as exc:
+            raise ValueError(str(exc)) from exc
+        if not isinstance(parsed, kind):
+            raise ValueError(f"expected {kind.__name__} text, got {text!r}")
+        return parsed
+
+    return {str: build}
+
+
+# One key table per manifest object; see framing.json_table for the rules.
+_TAGS = json_list({str: TagCode.from_text})
+_MANIFEST = json_table(Manifest, (
+    ("header", "header", json_table(ManifestHeader, (
+        ("shell_type_id", "shellTypeId", _id_text(TypeId, blank=True)),
+        ("asset_instance_id", "assetInstanceId", _id_text(InstanceId, blank=True)),
+        ("display_name", "displayName", str),
+    ))),
+    ("body", "body", json_table(ManifestBody, (
+        ("data_refs", "dataRefs", json_list(json_table(DataRef, (
+            ("semantic_tag", "tag", {str: TagCode.from_text}),
+            ("locator", "locator", str),
+        )))),
+        ("service_descs", "services", json_list(json_table(ServiceDesc, (
+            ("service_name", "name", str),
+            ("input_tags", "inputTags", _TAGS),
+            ("output_tags", "outputTags", _TAGS),
+        )))),
+        ("child_shells", "children", json_list(_id_text(InstanceId))),
+    ))),
+))
+
+
 def manifest_from_dict(data: dict) -> Manifest:
+    """The manifest of a JSON document; ValueError names the bad key."""
     try:
-        header_data = data["header"]
-        body_data = data.get("body", {})
-        shell_type_text = header_data.get("shellTypeId", "")
-        instance_text = header_data.get("assetInstanceId", "")
-        shell_type = parse_id(shell_type_text) if shell_type_text else None
-        instance = parse_id(instance_text) if instance_text else None
-        if shell_type is not None and not isinstance(shell_type, TypeId):
-            raise ValueError("header.shellTypeId must be a type ID")
-        if instance is not None and not isinstance(instance, InstanceId):
-            raise ValueError("header.assetInstanceId must be an instance ID")
-        header = ManifestHeader(
-            shell_type, instance, header_data.get("displayName", "")
-        )
-        data_refs = tuple(
-            DataRef(TagCode.from_text(entry["tag"]), entry["locator"])
-            for entry in body_data.get("dataRefs", [])
-        )
-        services = tuple(
-            ServiceDesc(
-                entry["name"],
-                tuple(TagCode.from_text(t) for t in entry.get("inputTags", [])),
-                tuple(TagCode.from_text(t) for t in entry.get("outputTags", [])),
-            )
-            for entry in body_data.get("services", [])
-        )
-        children = []
-        for text in body_data.get("children", []):
-            child = parse_id(text)
-            if not isinstance(child, InstanceId):
-                raise ValueError(f"child must be an instance ID: {text!r}")
-            children.append(child)
-    except (KeyError, TypeError) as exc:
+        return _MANIFEST(data)
+    except JsonTypeError as exc:
         raise ValueError(f"malformed manifest document: {exc}") from exc
-    return Manifest(header, ManifestBody(data_refs, services, tuple(children)))
 
 
 def dump_manifest(manifest: Manifest) -> str:

@@ -642,6 +642,8 @@ def test_08_every_declared_error_is_triggered(tmp_path):
         clock = LogicalClock()
         store = Archive(tmp_path / "errors", clock)
         store.store(make_object(uid="err-1"))
+        store.store(make_object(uid="err-gone"))
+        (store.directory / f"err-gone{OBJECT_SUFFIX}").unlink()
 
         registry = Registry()
         stn = station_id("err-stn")
@@ -812,6 +814,7 @@ def test_08_every_declared_error_is_triggered(tmp_path):
                 lambda: store.store(make_object(uid="err-1")),
             ),
             ("archive.UnknownUID", lambda: store.fetch("ghost")),
+            ("archive.UnreadableObject", lambda: store.fetch("err-gone")),
             (
                 "bus.DuplicateOrder",
                 lambda: bus.submit_order(order("ORD-E1")),

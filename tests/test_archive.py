@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -24,6 +26,7 @@ from nde4.archive import (
     OP_STORE,
     TruncatedElement,
     UnknownUID,
+    UnreadableObject,
     decode_object,
     encode_object,
     parse_chain_line,
@@ -145,22 +148,29 @@ def test_reload_from_disk(tmp_path):
     assert reopened.verify_chain().ok
 
 
-def test_query_conjunction_matches_linear_scan(store, clock):
+def test_query_conjunction_matches_linear_scan(store, clock, tmp_path):
     rng = random.Random(4004)
     orders = ["ORD-1", "ORD-2", "ORD-3"]
     serials = ["SN-1", "SN-2"]
     methods = ["UT", "RT", "VT"]
+    # a second store is queried half way, so it indexes its later stores
+    growing = Archive(tmp_path / "growing", clock)
     rows = []
     for n in range(40):
         order_id = rng.choice(orders)
         serial = rng.choice(serials)
         method = rng.choice(methods)
         uid = f"obj-{n}"
-        store.store(
-            make_object(uid=uid, order_id=order_id, serial=serial, method=method)
-        )
+        obj = make_object(uid=uid, order_id=order_id, serial=serial, method=method)
+        store.store(obj)
+        growing.store(obj)
         rows.append((uid, order_id, serial, method))
+        if n == 19:
+            assert growing.query(method="UT") == tuple(
+                row[0] for row in rows if row[3] == "UT"
+            )
         clock.advance()
+    reopened = Archive(store.directory, clock)
     for _ in range(60):
         want_order = rng.choice(orders + [None])
         want_serial = rng.choice(serials + [None])
@@ -172,10 +182,61 @@ def test_query_conjunction_matches_linear_scan(store, clock):
             and (want_serial is None or serial == want_serial)
             and (want_method is None or method == want_method)
         )
-        got = store.query(
-            order_id=want_order, component_serial=want_serial, method=want_method
-        )
-        assert got == oracle
+        for archive in (store, reopened, growing):
+            got = archive.query(
+                order_id=want_order, component_serial=want_serial, method=want_method
+            )
+            assert got == oracle
+
+
+def test_index_loses_no_store_under_concurrent_queries(tmp_path):
+    storers, per_storer = 4, 12
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(4):
+            # each round opens the store afresh, so its index is built while
+            # the storers run
+            store = Archive(tmp_path / "data")
+            done = threading.Event()
+            failures: list[BaseException] = []
+
+            def put(n: int) -> None:
+                try:
+                    for k in range(per_storer):
+                        store.store(make_object(
+                            uid=f"obj-{round_}-{n}-{k}", order_id=f"ORD-{k % 3}"))
+                except BaseException as exc:  # surfaced after join
+                    failures.append(exc)
+
+            def ask() -> None:
+                try:
+                    while not done.is_set():
+                        for order_id in ("ORD-0", "ORD-1", "ORD-2"):
+                            got = store.query(order_id=order_id)
+                            assert list(got) == [u for u in store.uids() if u in got]
+                except BaseException as exc:
+                    failures.append(exc)
+
+            askers = [threading.Thread(target=ask) for _ in range(2)]
+            putters = [threading.Thread(target=put, args=(n,)) for n in range(storers)]
+            for thread in askers + putters:
+                thread.start()
+            for thread in putters:
+                thread.join(timeout=60)
+            done.set()
+            for thread in askers:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in askers + putters)
+            assert not failures
+            for k in range(3):
+                want = tuple(
+                    u for u in store.uids() if int(u.rsplit("-", 1)[1]) % 3 == k
+                )
+                assert len(want) == (round_ + 1) * storers * len(range(k, per_storer, 3))
+                assert store.query(order_id=f"ORD-{k}") == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_chain_lines_verify_and_reject_noncanonical(store, clock):
@@ -259,6 +320,32 @@ def test_wire_store_fetch_query(store):
     assert response[0] == OP_RESULT
     assert json.loads(response[1:]) == {"uids": ["obj-1"]}
 
+    # null stands for an omitted criterion
+    response = wire.request(bytes([OP_QUERY]) + b'{"orderId":null,"method":"RT"}')
+    assert response[0] == OP_RESULT
+    assert json.loads(response[1:]) == {"uids": []}
+
+
+def test_missing_object_file_is_a_named_error(store, clock):
+    store.store(make_object(uid="obj-1"))
+    clock.advance()
+    store.store(make_object(uid="obj-2", order_id="ORD-8"))
+    (store.directory / f"obj-2{OBJECT_SUFFIX}").unlink()
+    with pytest.raises(UnreadableObject):
+        store.fetch("obj-2")
+    with pytest.raises(UnreadableObject):
+        store.fetch_bytes("obj-2")
+    # a failed index build leaves no index behind: the next query fails too
+    for _ in range(2):
+        with pytest.raises(UnreadableObject):
+            store.query(order_id="ORD-7")
+    assert store.query() == ("obj-1", "obj-2")
+    wire = ArchiveWire(store)
+    for opcode, body in ((OP_FETCH, b'{"uid":"obj-2"}'), (OP_QUERY, b'{"method":"UT"}')):
+        response = wire.request(bytes([opcode]) + body)
+        assert response[0] == OP_ERROR
+        assert json.loads(response[1:])["code"] == "UnreadableObject"
+
 
 def test_wire_errors(store):
     wire = ArchiveWire(store)
@@ -276,6 +363,8 @@ def test_wire_errors(store):
         (OP_FETCH, b'"x"'),
         (OP_FETCH, b'{"uid":[1]}'),
         (OP_QUERY, b"[]"),
+        (OP_QUERY, b'{"orderID":"ORD-1"}'),
+        (OP_QUERY, b'{"orderId":5}'),
     ):
         response = wire.request(bytes([opcode]) + body)
         assert response[0] == OP_ERROR

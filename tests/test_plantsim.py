@@ -190,6 +190,15 @@ def test_base_config_is_valid():
             ),
             "bad procedure id",
         ),
+        (
+            lambda c: replace(
+                c,
+                companies=(
+                    replace(c.companies[0], stations=(StationConfig(5, "t"),)),
+                ),
+            ),
+            "bad station id 5",
+        ),
     ],
 )
 def test_validate_config_rejects(mutate, fragment):

@@ -342,3 +342,29 @@ def test_manifest_to_dict_tolerates_missing_ids():
     manifest = Manifest(ManifestHeader(None, None, "nameless"), ManifestBody())
     document = manifest_to_dict(manifest)
     assert load_manifest(json.dumps(document)).header.display_name == "nameless"
+
+
+@pytest.mark.parametrize(
+    "body, header, message",
+    [
+        ({}, {"displayName": 5}, "header.displayName: expected str, got int"),
+        (
+            {"dataRefs": [{"tag": "0020,0001", "locator": 7}]},
+            {},
+            "body.dataRefs[0].locator: expected str, got int",
+        ),
+        ({"children": "abc"}, {}, "body.children: expected list, got str"),
+        ({"child": []}, {}, "body.child: unknown key"),
+        (
+            {"children": ["urn:nde4:type:acme:probe"]},
+            {},
+            "body.children[0]: expected InstanceId text",
+        ),
+        ({}, {"shellTypeId": 5}, "header.shellTypeId: expected str, got int"),
+    ],
+)
+def test_load_manifest_refuses_wrong_types(body, header, message):
+    document = {"header": {"displayName": "x", **header}, "body": body}
+    with pytest.raises(ValueError) as info:
+        load_manifest(json.dumps(document))
+    assert f"malformed manifest document: {message}" in str(info.value)

@@ -1,11 +1,17 @@
-"""Per-order cost of a simulator run stays flat as the order count grows."""
+"""Cost that must stay flat as the store or the order count grows: per-order
+cost of a simulator run, and object-file reads of archive opens and queries."""
 
 from __future__ import annotations
 
+import builtins
+import io
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
+from conftest import make_object
+from nde4.archive import OBJECT_SUFFIX, Archive
 from nde4.plantsim import load_scenario, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -50,3 +56,33 @@ def test_ms_per_order_is_flat_from_200_to_2000_orders(tmp_path):
         f"{best[LARGE]:.2f} ms/order at N={LARGE}, growth {growth:.2f}x"
     )
     assert growth <= MAX_GROWTH
+
+
+def test_archive_open_reads_no_object_and_queries_read_each_once(tmp_path, monkeypatch):
+    orders = LARGE // 2
+    store = Archive(tmp_path / "data")
+    for n in range(LARGE):
+        store.store(make_object(uid=f"obj-{n}", order_id=f"ORD-{n % orders}"))
+    reads: Counter[str] = Counter()
+
+    def counted(open_):
+        def open_and_count(file, mode="r", *args, **kwargs):
+            name = Path(file).name if isinstance(file, (str, Path)) else ""
+            if name.endswith(OBJECT_SUFFIX) and "r" in mode:
+                reads[name] += 1
+            return open_(file, mode, *args, **kwargs)
+        return open_and_count
+
+    # Path.read_bytes opens through io.open; a plain open() is builtins.open
+    monkeypatch.setattr(io, "open", counted(io.open))
+    monkeypatch.setattr(builtins, "open", counted(builtins.open))
+    reopened = Archive(store.directory)
+    assert len(reopened.uids()) == LARGE
+    assert not reads
+    assert reopened.query(order_id="ORD-7") == ("obj-7", f"obj-{7 + orders}")
+    assert len(reads) == LARGE and set(reads.values()) == {1}
+    reads.clear()
+    for n in range(100):
+        assert reopened.query(order_id=f"ORD-{n}", method="UT") == (
+            f"obj-{n}", f"obj-{n + orders}")
+    assert not reads

@@ -11,6 +11,7 @@ from conftest import make_object
 from nde4.archive import (
     Archive,
     ArchiveWire,
+    OBJECT_SUFFIX,
     OP_ERROR,
     OP_FETCH,
     OP_QUERY,
@@ -82,6 +83,25 @@ def test_wrong_shape_body_keeps_the_link(served_archive):
         assert payload[0] == OP_ERROR
         assert json.loads(payload[1:])["code"] == "MalformedRequest"
         # the server answered instead of dropping the connection
+        request = encode_frame(
+            Channel.ARCHIVE, bytes([OP_FETCH]) + b'{"uid":"obj-1"}'
+        )
+        payload = decode_frame(client.request(request)).payload
+        assert payload[0] == OP_RESULT
+
+
+def test_missing_object_file_keeps_the_link(served_archive):
+    store, (host, port) = served_archive
+    store.store(make_object(uid="obj-1"))
+    store.store(make_object(uid="obj-2"))
+    (store.directory / f"obj-2{OBJECT_SUFFIX}").unlink()
+    with FrameClient(host, port) as client:
+        request = encode_frame(
+            Channel.ARCHIVE, bytes([OP_FETCH]) + b'{"uid":"obj-2"}'
+        )
+        payload = decode_frame(client.request(request)).payload
+        assert payload[0] == OP_ERROR
+        assert json.loads(payload[1:])["code"] == "UnreadableObject"
         request = encode_frame(
             Channel.ARCHIVE, bytes([OP_FETCH]) + b'{"uid":"obj-1"}'
         )
