@@ -255,6 +255,20 @@ def data_dir() -> Path:
     return Path(os.environ.get(DATA_DIR_ENV, DATA_DIR_DEFAULT))
 
 
+def append_line(path: Path, line: bytes) -> None:
+    """Append one line and its "\n" to a log file (chain.log, an audit log)
+    in one write; the file is opened and closed around it, so no handle
+    outlives the call."""
+    data = line + b"\n"
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):  # a short write only when the disk fills
+            written += os.write(fd, data[written:])
+    finally:
+        os.close(fd)
+
+
 class _QueryIndex:
     """Each indexed uid's query keys (order id, component serial, method),
     and per key position one posting list of uids per value, in store order."""
@@ -358,8 +372,7 @@ class Archive:
             temp = path.with_suffix(".tmp")
             temp.write_bytes(encoded)
             try:
-                with open(self._chain_path(), "a", encoding="utf-8") as chain:
-                    chain.write(record.line() + "\n")
+                append_line(self._chain_path(), record.line().encode("utf-8"))
             except OSError:
                 temp.unlink(missing_ok=True)
                 raise

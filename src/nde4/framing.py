@@ -104,9 +104,14 @@ def decode_frame(data: bytes) -> Frame:
 
 # --- canonical JSON and the ARCHIVE/SOVEREIGN request/response convention ---
 
+# json.dumps builds a new encoder per call; one encoder holds no per-call
+# state (encode() makes its own circular-reference markers), so it is shared
+_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def canonical_json(document) -> bytes:
     """The one byte form of a JSON document: sorted keys, no whitespace."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return _CANONICAL_ENCODER.encode(document).encode("utf-8")
 
 
 def json_object(body: bytes) -> dict:

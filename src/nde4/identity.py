@@ -87,6 +87,10 @@ class InstanceId:
     type_id: TypeId
     serial: str
 
+    def __post_init__(self) -> None:
+        # a serial parse_id would refuse could never round-trip its text form
+        _check_token(self.serial, "serial", _SERIAL_TOKEN_RE)
+
     def canonical(self) -> str:
         return (
             f"{URN_PREFIX}{KIND_INST}:{self.type_id.namespace}:"
@@ -109,7 +113,6 @@ def mint_type_id(namespace: str, name: str) -> TypeId:
 
 def mint_instance_id(type_id: TypeId, serial: str) -> InstanceId:
     """Bind a serial to a type, yielding the instance identity."""
-    _check_token(serial, "serial", _SERIAL_TOKEN_RE)
     return InstanceId(type_id, serial)
 
 
@@ -165,5 +168,7 @@ def parse_id(text: str) -> TypeId | InstanceId:
     name = _parse_token(segments[2], "name", _NAME_TOKEN_RE, offsets[1])
     if kind == KIND_TYPE:
         return TypeId(namespace, name)
-    serial = _parse_token(segments[3], "serial", _SERIAL_TOKEN_RE, offsets[2])
-    return InstanceId(TypeId(namespace, name), serial)
+    try:
+        return InstanceId(TypeId(namespace, name), segments[3])
+    except MalformedToken as exc:
+        raise ParseError(str(exc), offsets[2]) from exc

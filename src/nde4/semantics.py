@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib.resources import files
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .errors import Nde4Error
 from .timebase import DATETIME_LENGTH, BadDatetime, parse_datetime
@@ -56,17 +56,26 @@ class DuplicateDefinition(Nde4Error):
     """Dictionary extension would redefine an existing code or name."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class TagCode:
-    """A (group, element) pair; both 16-bit unsigned."""
-
+class _TagPair(NamedTuple):
     group: int
     element: int
 
-    def __post_init__(self) -> None:
-        for part, label in ((self.group, "group"), (self.element, "element")):
+
+class TagCode(_TagPair):
+    """A (group, element) pair; both 16-bit unsigned.
+
+    A tuple, so equality, hashing and ordering (group, then element) run in
+    C: every Dictionary lookup and object decode compares tag codes. It
+    therefore also equals the plain (group, element) tuple.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, group: int, element: int) -> "TagCode":
+        for part, label in ((group, "group"), (element, "element")):
             if not 0 <= part <= 0xFFFF:
                 raise ValueError(f"tag {label} out of 16-bit range: {part:#x}")
+        return tuple.__new__(cls, (group, element))
 
     @property
     def is_private(self) -> bool:

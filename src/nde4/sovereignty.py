@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .archive import Archive, DataObject, UnknownUID, decode_object
+from .archive import Archive, DataObject, UnknownUID, append_line, decode_object
 from .errors import Nde4Error
 from .framing import (
     NULL, OP_ERROR, Channel, canonical_json, decode_frame, dispatch, encode_frame,
@@ -301,9 +301,8 @@ class Connector:
                     "action": event.action,
                     "detail": event.detail,
                 }
-            ).decode("utf-8")
-            with open(self._audit_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            )
+            append_line(self._audit_path, line)
 
     def audit_events(self, contract_id: str | None = None) -> tuple[AuditEvent, ...]:
         with self._lock:

@@ -33,8 +33,12 @@ def format_tick(tick: int) -> str:
 def parse_datetime(text: str) -> int:
     """Parse canonical DATETIME text back to a logical tick.
 
-    Raises BadDatetime on any layout or calendar violation.
+    Raises BadDatetime on any layout or calendar violation. The text must be
+    ASCII: strptime reads any Unicode digit as a digit, so "٢٠٢٠0101T000000"
+    would parse, yet sort after every ASCII DATETIME text.
     """
+    if not text.isascii():
+        raise BadDatetime(f"datetime must be ASCII: {text!r}")
     if len(text) != DATETIME_LENGTH:
         raise BadDatetime(
             f"datetime must be {DATETIME_LENGTH} chars, got {len(text)}: {text!r}"
@@ -61,13 +65,18 @@ class LogicalClock:
 
     def __init__(self, start: int = 0):
         self._tick = start
+        self._text: tuple[int | None, str] = (None, "")  # (tick, its text)
 
     @property
     def tick(self) -> int:
         return self._tick
 
     def now_text(self) -> str:
-        return format_tick(self._tick)
+        """DATETIME text of the current tick, formatted once per tick."""
+        tick, cached = self._tick, self._text  # one tuple, so threads see a pair
+        if cached[0] != tick:
+            cached = self._text = (tick, format_tick(tick))
+        return cached[1]
 
     def advance(self, seconds: int = 1) -> int:
         if seconds < 0:

@@ -114,18 +114,32 @@ class FrameServer:
 
 
 class FrameClient:
-    """Blocking request/response client; one frame out, one frame back."""
+    """Blocking request/response client; one frame out, one frame back.
+
+    A request that fails for any reason (timeout, bad magic, a peer that
+    closes mid-frame) may leave part of its response in the socket, so the
+    client closes the socket and every later request raises ConnectionClosed
+    without sending anything.
+    """
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._lock = threading.Lock()
+        self._closed = False
 
     def request(self, frame_bytes: bytes) -> bytes:
         with self._lock:
-            send_frame(self._sock, frame_bytes)
-            return recv_frame(self._sock)
+            if self._closed:
+                raise ConnectionClosed("client is closed (a request failed or close() ran)")
+            try:
+                send_frame(self._sock, frame_bytes)
+                return recv_frame(self._sock)
+            except BaseException:
+                self.close()
+                raise
 
     def close(self) -> None:
+        self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import json
 import random
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -17,6 +20,7 @@ from nde4.framing import (
     OversizedPayload,
     UnknownChannel,
     VERSION,
+    canonical_json,
     decode_frame,
     encode_frame,
 )
@@ -114,3 +118,52 @@ def test_random_round_trips_against_layout_oracle():
         oracle = b"NDE4" + bytes([1, channel.value]) + struct.pack("<I", len(payload)) + payload
         assert raw == oracle
         assert decode_frame(raw) == Frame(channel, payload)
+
+
+def _random_document(rng: random.Random, depth: int = 0):
+    def text():
+        return "".join(rng.choice("aZ9 _\"\\\u00e9\u00fc\u4e2d\U0001f600\n")
+                       for _ in range(rng.randint(0, 6)))
+
+    leaves = (
+        lambda: rng.randint(-2**40, 2**40),
+        lambda: rng.uniform(-1e6, 1e6),
+        lambda: rng.choice((0.1, -0.0, 1e300, 5e-324, 2.5)),
+        lambda: rng.choice((True, False, None)),
+        text,
+    )
+    kind = rng.randrange(3 if depth < 3 else 1)
+    if kind == 1:
+        return {text(): _random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))}
+    if kind == 2:
+        return [_random_document(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    return rng.choice(leaves)()
+
+
+def test_canonical_json_matches_json_dumps_from_many_threads():
+    # oracle: the stdlib call canonical_json stands for; the threads share
+    # its one encoder
+    failures, finished = [], []
+
+    def check(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            document = {"k": _random_document(rng), "\u00e9": [_random_document(rng)]}
+            expected = json.dumps(document, sort_keys=True, separators=(",", ":"))
+            if canonical_json(document) != expected.encode("utf-8"):
+                failures.append(document)
+        finished.append(seed)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=check, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert failures == []

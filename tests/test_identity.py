@@ -123,3 +123,21 @@ def test_ids_are_hashable_and_frozen():
     assert len({tid, iid, mint_type_id("acme", "drill")}) == 2
     with pytest.raises(AttributeError):
         tid.namespace = "other"
+
+
+@pytest.mark.parametrize(
+    "serial", ["unit.1", "", "x" * 65, "-lead", "a b", "a:b", "ümlaut", "a_b"]
+)
+def test_instance_id_refuses_any_serial_parse_id_refuses(serial):
+    with pytest.raises(ParseError):
+        parse_id(f"urn:nde4:inst:acme:x:{serial}")
+    with pytest.raises(MalformedToken):
+        InstanceId(TypeId("acme", "x"), serial)
+    with pytest.raises(MalformedToken):
+        mint_instance_id(TypeId("acme", "x"), serial)
+
+
+def test_parse_error_offset_points_at_the_serial():
+    with pytest.raises(ParseError) as info:
+        parse_id("urn:nde4:inst:acme:x:unit.1")
+    assert info.value.offset == len("urn:nde4:inst:acme:x:")

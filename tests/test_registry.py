@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from nde4.identity import InstanceId, TypeId
+from nde4.identity import InstanceId, TypeId, parse_id
 from nde4.registry import (
     CycleDetected,
     DANGLING_CHILD,
@@ -368,3 +368,15 @@ def test_load_manifest_refuses_wrong_types(body, header, message):
     with pytest.raises(ValueError) as info:
         load_manifest(json.dumps(document))
     assert f"malformed manifest document: {message}" in str(info.value)
+
+
+def test_every_constructible_instance_id_survives_the_manifest_round_trip():
+    # serials of every allowed character and length, incl. the 64-char limit
+    rng = random.Random(4242)
+    head = "abcXYZ019"
+    tail = head + "-"
+    for length in [1, 2, 63, 64] + [rng.randint(1, 64) for _ in range(40)]:
+        serial = rng.choice(head) + "".join(rng.choice(tail) for _ in range(length - 1))
+        manifest = shell("acme", "ut-scanner", serial)
+        assert load_manifest(dump_manifest(manifest)) == manifest
+        assert parse_id(f"urn:nde4:inst:acme:ut-scanner:{serial}").serial == serial

@@ -34,6 +34,32 @@ def cloned_demo(count: int) -> str:
     return json.dumps({**document, "orders": orders})
 
 
+def cloned_fullchain(copies: int) -> str:
+    """fullchain.scen with its orders and exchanges cloned `copies` times."""
+    document = json.loads((SCENARIO_DIR / "fullchain.scen").read_text("utf-8"))
+    orders, exchanges = [], []
+    for copy in range(copies):
+        for order in document["orders"]:
+            orders.append({
+                **order,
+                "orderId": f"{order['orderId']}-{copy}",
+                "componentSerial": f"{order['componentSerial']}-{copy}",
+            })
+        for exchange in document["exchanges"]:
+            exchanges.append({**exchange, "orderId": f"{exchange['orderId']}-{copy}"})
+    return json.dumps({**document, "orders": orders, "exchanges": exchanges})
+
+
+def counted(open_, counts: Counter, wanted):
+    """`open_` that counts the opens of each file whose name `wanted` accepts."""
+    def open_and_count(file, mode="r", *args, **kwargs):
+        name = Path(file).name if isinstance(file, (str, Path)) else ""
+        if wanted(name, mode):
+            counts[name] += 1
+        return open_(file, mode, *args, **kwargs)
+    return open_and_count
+
+
 def ms_per_order(config, count: int, data_dir: Path) -> float:
     start = time.perf_counter()
     result = run_scenario(config, data_dir)
@@ -65,17 +91,12 @@ def test_archive_open_reads_no_object_and_queries_read_each_once(tmp_path, monke
         store.store(make_object(uid=f"obj-{n}", order_id=f"ORD-{n % orders}"))
     reads: Counter[str] = Counter()
 
-    def counted(open_):
-        def open_and_count(file, mode="r", *args, **kwargs):
-            name = Path(file).name if isinstance(file, (str, Path)) else ""
-            if name.endswith(OBJECT_SUFFIX) and "r" in mode:
-                reads[name] += 1
-            return open_(file, mode, *args, **kwargs)
-        return open_and_count
+    def object_read(name, mode):
+        return name.endswith(OBJECT_SUFFIX) and "r" in mode
 
     # Path.read_bytes opens through io.open; a plain open() is builtins.open
-    monkeypatch.setattr(io, "open", counted(io.open))
-    monkeypatch.setattr(builtins, "open", counted(builtins.open))
+    monkeypatch.setattr(io, "open", counted(io.open, reads, object_read))
+    monkeypatch.setattr(builtins, "open", counted(builtins.open, reads, object_read))
     reopened = Archive(store.directory)
     assert len(reopened.uids()) == LARGE
     assert not reads
@@ -86,3 +107,26 @@ def test_archive_open_reads_no_object_and_queries_read_each_once(tmp_path, monke
         assert reopened.query(order_id=f"ORD-{n}", method="UT") == (
             f"obj-{n}", f"obj-{n + orders}")
     assert not reads
+
+
+def test_log_lines_are_not_written_through_file_objects(tmp_path, monkeypatch):
+    # chain.log and audit lines go out with one os.write each, not through
+    # a text-mode file object opened per line
+    config = load_scenario(cloned_fullchain(50))
+    opens: Counter[str] = Counter()
+
+    def log_append(name, mode):  # verify_chain still reads chain.log once
+        is_log = name == "chain.log" or (name.startswith("audit-") and name.endswith(".log"))
+        return is_log and bool(set(mode) & set("aw+"))
+
+    monkeypatch.setattr(io, "open", counted(io.open, opens, log_append))
+    monkeypatch.setattr(builtins, "open", counted(builtins.open, opens, log_append))
+    result = run_scenario(config, tmp_path / "data")
+    during_run = dict(opens)  # the reads below are the test's own
+    assert result.report["reported"] == 200
+    audit_lines = sum(
+        len(path.read_text("utf-8").splitlines())
+        for path in (tmp_path / "data").glob("audit-*.log")
+    )
+    assert audit_lines > 200  # the run did write audit lines
+    assert during_run == {}

@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import ast
 import importlib.resources
+import itertools
+import random
 import struct
+from pathlib import Path
 
 import pytest
 
 from conftest import make_object
-from nde4 import semantics
+from nde4 import framing, semantics
+from nde4.plantsim import load_scenario, run_scenario
 from nde4.semantics import (
     DICT_V1,
     Dictionary,
@@ -23,6 +28,7 @@ from nde4.semantics import (
     TAG_GRID_ROWS,
     TAG_METHOD_CODE,
     TAG_OBJECT_UID,
+    TAG_ORDER_ID,
     TagCode,
     TagDefinition,
     UNKNOWN_STANDARD_TAG,
@@ -54,6 +60,89 @@ def test_tag_code_ordering_is_group_then_element():
         TagCode(2, 1),
         TagCode(0x7FE0, 0x10),
     ]
+
+
+def test_tag_code_compares_like_its_pair():
+    # oracle: plain (group, element) tuples; small values force ties
+    rng = random.Random(909)
+    pairs = [
+        (rng.choice((0, 1, 2, 0x7FE0, 0xFFFF, rng.randrange(0x10000))), rng.randrange(3))
+        for _ in range(60)
+    ]
+    codes = [TagCode(*pair) for pair in pairs]
+    for (a, pa), (b, pb) in itertools.product(zip(codes, pairs), repeat=2):
+        assert (a == b) == (pa == pb)
+        assert (a != b) == (pa != pb)
+        assert (a < b) == (pa < pb)
+        assert (a <= b) == (pa <= pb)
+        assert (hash(a) == hash(b)) == (hash(pa) == hash(pb))
+    assert [tuple(code) for code in sorted(codes)] == sorted(pairs)
+    assert all(type(code) is TagCode for code in sorted(codes))
+
+
+def test_tag_code_keeps_range_check_and_text_forms():
+    for group, element in ((-1, 0), (0, 0x10000), (0x10000, 0), (0, -1)):
+        with pytest.raises(ValueError):
+            TagCode(group, element)
+    code = TagCode(0x7FE0, 0x0010)
+    assert (code.group, code.element) == (0x7FE0, 0x0010)
+    assert str(code) == "(7FE0,0010)"
+    assert code.text() == "7FE0,0010"
+    assert repr(code) == "TagCode(group=32736, element=16)"
+    assert TagCode.from_text("(7fe0,0010)") == code
+    with pytest.raises(ValueError):
+        TagCode.from_text("7FE0")
+    assert DICT_V1.get(TAG_ORDER_ID).name == "order_id"
+    assert DICT_V1.get(TagCode(0x0020, 0x0001)) is DICT_V1.get(TAG_ORDER_ID)
+
+
+def test_no_tag_code_reaches_canonical_json(monkeypatch, tmp_path):
+    # a TagCode is a tuple, so json would now write it as a list where it
+    # used to refuse it; a full run must never hand one to the encoder
+    found = []
+
+    def walk(value):
+        if isinstance(value, TagCode):
+            found.append(value)
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                walk(key)
+                walk(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+
+    encoder = framing._CANONICAL_ENCODER
+    encode = encoder.encode
+    documents = []
+
+    def checked(document):
+        documents.append(document)
+        walk(document)
+        return encode(document)
+
+    monkeypatch.setattr(encoder, "encode", checked)
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "fullchain.scen"
+    run_scenario(load_scenario(scenario.read_text("utf-8")), tmp_path / "data")
+    assert documents and not found
+
+
+def test_no_source_branches_on_tuple():
+    # a branch on isinstance(x, tuple) would now also take every TagCode;
+    # a new one must be checked for that first, then listed here
+    source = Path(semantics.__file__).parent
+    branches = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "issubclass")
+                and len(node.args) == 2
+                and "tuple" in ast.dump(node.args[1])
+            ):
+                branches.append(f"{path.name}:{node.lineno}")
+    assert branches == []
 
 
 def test_private_range_is_odd_group():

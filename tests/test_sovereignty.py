@@ -68,6 +68,17 @@ def test_policy_problems():
     assert policy_problems(UsagePolicy(purpose="no good"), now)
 
 
+def test_offer_refuses_non_ascii_expiry(pair, clock):
+    # Arabic-Indic digits for 2020: strptime reads them as digits, and the
+    # text sorts after every ASCII time, so it would never expire
+    provider, _ = pair
+    clock.advance(60)
+    expires = "\u0662\u0660\u0662\u06600101T000000"
+    assert policy_problems(UsagePolicy(expires=expires), clock.now_text())
+    with pytest.raises(InvalidPolicy):
+        provider.offer(FORGE, "obj-1", UsagePolicy(expires=expires))
+
+
 def test_connector_name_must_be_token(clock):
     with pytest.raises(ValueError):
         Connector("bad name!", STEEL, clock)

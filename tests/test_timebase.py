@@ -4,6 +4,7 @@ import datetime
 
 import pytest
 
+from nde4 import timebase
 from nde4.timebase import (
     BadDatetime,
     DATETIME_LENGTH,
@@ -41,6 +42,8 @@ def test_round_trip_against_datetime_oracle():
         "20201301T000000",  # month 13
         "20200101X000000",  # wrong separator
         "19991231T235959",  # before epoch
+        "\u0662\u0660\u0662\u06600101T000000",  # Arabic-Indic digits for 2020
+        "２０２００１０１T000000",  # fullwidth digits
     ],
 )
 def test_parse_rejects_bad_text(bad):
@@ -62,3 +65,24 @@ def test_clock_is_monotone():
         clock.advance(-1)
     with pytest.raises(ValueError):
         clock.advance_to(99)
+
+
+def test_now_text_formats_each_tick_once(monkeypatch):
+    calls = []
+
+    def counted(tick):
+        calls.append(tick)
+        return format_tick(tick)
+
+    monkeypatch.setattr(timebase, "format_tick", counted)
+    clock = LogicalClock(start=5)
+    assert {clock.now_text() for _ in range(50)} == {format_tick(5)}
+    assert calls == [5]
+    clock.advance(0)  # same tick: still cached
+    clock.now_text()
+    assert calls == [5]
+    clock.advance()
+    assert clock.now_text() == format_tick(6)
+    clock.advance_to(100)
+    assert clock.now_text() == clock.now_text() == format_tick(100)
+    assert calls == [5, 6, 100]

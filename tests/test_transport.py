@@ -179,6 +179,35 @@ def test_client_detects_bad_magic_in_response():
                 client.request(request)
 
 
+@pytest.mark.parametrize(
+    ("response", "error"),
+    [
+        (b"XXXX" + bytes(6) + b"stale tail", BadMagic),
+        # the header claims 100 payload bytes and 4 arrive: times out mid-payload
+        (b"NDE4\x01\x02" + (100).to_bytes(4, "little") + b"part", TimeoutError),
+    ],
+    ids=["bad-magic", "short-payload"],
+)
+def test_client_retires_its_socket_after_a_failed_request(response, error):
+    requests = []
+
+    def hostile(frame: bytes) -> bytes:
+        requests.append(frame)
+        return response
+
+    with FrameServer(hostile) as server:
+        host, port = server.address
+        with FrameClient(host, port, timeout=0.3) as client:
+            request = encode_frame(Channel.ARCHIVE, bytes([OP_QUERY]) + b"{}")
+            with pytest.raises(error):
+                client.request(request)
+            # the rest of the bad response must not be read as the next answer
+            for _ in range(2):
+                with pytest.raises(ConnectionClosed):
+                    client.request(request)
+    assert len(requests) == 1
+
+
 def test_connect_refused_after_server_stops(store):
     handler = partial(serve_frame, Channel.ARCHIVE, ArchiveWire(store).request)
     server = FrameServer(handler)
