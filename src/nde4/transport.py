@@ -125,11 +125,10 @@ class FrameClient:
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._lock = threading.Lock()
-        self._closed = False
 
     def request(self, frame_bytes: bytes) -> bytes:
         with self._lock:
-            if self._closed:
+            if self._sock.fileno() == -1:  # closed
                 raise ConnectionClosed("client is closed (a request failed or close() ran)")
             try:
                 send_frame(self._sock, frame_bytes)
@@ -139,7 +138,6 @@ class FrameClient:
                 raise
 
     def close(self) -> None:
-        self._closed = True
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
