@@ -13,9 +13,11 @@ first tampered index is identifiable. There is no delete operation on the
 public surface, by design.
 
 Queries are answered from an in-memory index of each committed object's
-order id, component serial and method. Opening a store reads only
-"chain.log"; the first query after an open builds the index by reading each
-object file once, and later stores add to it.
+order id, component serial and method. Cost model: opening a store reads
+only "chain.log"; the first query after an open builds the index by reading
+each object file once and walking only its element headers (every decode
+check runs, but no element is built; only the three key values are
+decoded); later stores add to the index and later queries read no file.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ OBJECT_SUFFIX = ".ndeo"
 DATA_DIR_ENV = "NDE4_DATA_DIR"
 DATA_DIR_DEFAULT = "./nde4-data"
 ZERO_DIGEST = bytes(32)
+_ELEMENT_HEADER = struct.Struct("<HHI")  # group, element, value length
+READ_SIZE = 1 << 16  # bytes per os.read in read_file
 
 # archive-channel opcodes (1-byte prefix on channel-2 frame payloads)
 OP_STORE = 0x01
@@ -151,33 +155,66 @@ def encode_object(obj: DataObject) -> bytes:
     return b"".join(chunks)
 
 
-def decode_object(data: bytes) -> DataObject:
+def _element_spans(data: bytes):
+    """Walk encoded object bytes: yield (group, element, start, end) of each
+    element, its value being data[start:end]. Every check of the object
+    form runs here, in this order: preamble, version, truncated header,
+    truncated value, strictly ascending (group, element)."""
     if len(data) < 5 or data[:4] != PREAMBLE:
         raise BadPreamble(f"expected {PREAMBLE!r} preamble")
     if data[4] != OBJECT_VERSION:
         raise BadPreamble(f"unsupported object version {data[4]}")
-    elements: list[Element] = []
-    previous: TagCode | None = None
+    size = len(data)
+    previous = (-1, -1)  # below every (group, element)
     offset = 5
-    while offset < len(data):
-        if offset + 8 > len(data):
+    while offset < size:
+        if offset + 8 > size:
             raise TruncatedElement(f"element header cut short at byte {offset}")
-        group, element_number, length = struct.unpack_from("<HHI", data, offset)
+        group, element_number, length = _ELEMENT_HEADER.unpack_from(data, offset)
         offset += 8
-        if offset + length > len(data):
+        end = offset + length
+        if end > size:
             raise TruncatedElement(
                 f"value of ({group:04X},{element_number:04X}) cut short at byte "
-                f"{offset}: need {length} bytes, have {len(data) - offset}"
+                f"{offset}: need {length} bytes, have {size - offset}"
             )
-        code = TagCode(group, element_number)
-        if previous is not None and code <= previous:
+        code = (group, element_number)
+        if code <= previous:
             raise NonCanonicalOrder(
-                f"{code} after {previous}; strictly ascending required"
+                f"{TagCode(*code)} after {TagCode(*previous)}; "
+                "strictly ascending required"
             )
         previous = code
-        elements.append(Element(code, data[offset : offset + length]))
-        offset += length
-    return DataObject(tuple(elements))
+        yield group, element_number, offset, end
+        offset = end
+
+
+def decode_object(data: bytes) -> DataObject:
+    # "<HH" yields only 16-bit values, so TagCode's range check is skipped
+    return DataObject(tuple(
+        Element(TagCode._make((group, element)), data[start:end])
+        for group, element, start, end in _element_spans(data)
+    ))
+
+
+# key position in _QueryIndex of each query tag
+_QUERY_TAGS = {TAG_ORDER_ID: 0, TAG_COMPONENT_SERIAL: 1, TAG_METHOD_CODE: 2}
+
+
+def _query_keys(data: bytes) -> tuple[str | None, str | None, str | None]:
+    """(order_id, component_serial, method_code) of encoded object bytes,
+    as decode_object(data) would give them, without building the object.
+    The whole object is walked, so corrupt bytes anywhere raise what
+    decode_object raises."""
+    spans: list[tuple[int, int] | None] = [None, None, None]
+    for group, element, start, end in _element_spans(data):
+        k = _QUERY_TAGS.get((group, element))
+        if k is not None:
+            spans[k] = (start, end)
+    return tuple(
+        None if span is None else data[span[0] : span[1]].decode("utf-8")
+        for span in spans
+    )
 
 
 # --- digest chain ------------------------------------------------------------
@@ -269,6 +306,19 @@ def append_line(path: Path, line: bytes) -> None:
         os.close(fd)
 
 
+def read_file(path: Path) -> bytes:
+    """All bytes of a file (an object file), read with os.read until EOF;
+    the read-side sibling of append_line, with no file object per read."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, READ_SIZE):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 class _QueryIndex:
     """Each indexed uid's query keys (order id, component serial, method),
     and per key position one posting list of uids per value, in store order."""
@@ -277,8 +327,7 @@ class _QueryIndex:
         self.keys: dict[str, tuple[str | None, ...]] = {}
         self.postings: tuple[dict[str | None, list[str]], ...] = ({}, {}, {})
 
-    def add(self, uid: str, obj: DataObject) -> None:
-        keys = (obj.order_id, obj.component_serial, obj.method_code)
+    def add(self, uid: str, keys: tuple[str | None, ...]) -> None:
         self.keys[uid] = keys
         for postings, value in zip(self.postings, keys):
             postings.setdefault(value, []).append(uid)
@@ -328,7 +377,7 @@ class Archive:
 
     def _read_object(self, uid: str) -> bytes:
         try:
-            return self._object_path(uid).read_bytes()
+            return read_file(self._object_path(uid))
         except OSError as exc:
             raise UnreadableObject(f"{uid}: {exc.strerror or exc}") from exc
 
@@ -379,7 +428,9 @@ class Archive:
             temp.rename(path)
             self._uids[uid] = None
             if self._index is not None:
-                self._index.add(uid, obj)
+                self._index.add(
+                    uid, (obj.order_id, obj.component_serial, obj.method_code)
+                )
             self._last_digest = digest(record.canonical_bytes())
         return uid
 
@@ -419,7 +470,7 @@ class Archive:
             if self._index is None:
                 index = _QueryIndex()
                 for uid in self._uids:
-                    index.add(uid, decode_object(self._read_object(uid)))
+                    index.add(uid, _query_keys(self._read_object(uid)))
                 self._index = index
             return self._index.match(criteria)
 
@@ -453,10 +504,11 @@ class Archive:
                 return VerifyResult(False, k, len(lines))
             if record.index != k or record.prev_digest != prev:
                 return VerifyResult(False, k, len(lines))
-            object_path = self._object_path(record.object_uid)
-            if not object_path.exists():
+            try:
+                object_bytes = read_file(self._object_path(record.object_uid))
+            except FileNotFoundError:
                 return VerifyResult(False, k, len(lines))
-            if digest(object_path.read_bytes()) != record.object_digest:
+            if digest(object_bytes) != record.object_digest:
                 return VerifyResult(False, k, len(lines))
             prev = digest(record.canonical_bytes())
             covered.add(record.object_uid)

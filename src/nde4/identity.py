@@ -70,6 +70,11 @@ class TypeId:
     namespace: str
     name: str
 
+    def __post_init__(self) -> None:
+        # a token parse_id would refuse could never round-trip the text form
+        _check_token(self.namespace, "namespace", _NAME_TOKEN_RE)
+        _check_token(self.name, "name", _NAME_TOKEN_RE)
+
     def canonical(self) -> str:
         return f"{URN_PREFIX}{KIND_TYPE}:{self.namespace}:{self.name}"
 
@@ -106,8 +111,6 @@ class InstanceId:
 
 def mint_type_id(namespace: str, name: str) -> TypeId:
     """Mint a TypeId; deterministic, so equal inputs yield equal values."""
-    _check_token(namespace, "namespace", _NAME_TOKEN_RE)
-    _check_token(name, "name", _NAME_TOKEN_RE)
     return TypeId(namespace, name)
 
 

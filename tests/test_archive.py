@@ -5,6 +5,7 @@ import random
 import struct
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -27,12 +28,13 @@ from nde4.archive import (
     TruncatedElement,
     UnknownUID,
     UnreadableObject,
+    _query_keys,
     decode_object,
     encode_object,
     parse_chain_line,
 )
 from nde4.errors import ValidationFailed
-from nde4.semantics import TagCode
+from nde4.semantics import TAG_COMPONENT_SERIAL, TAG_METHOD_CODE, TAG_ORDER_ID, TagCode
 from nde4.timebase import LogicalClock
 
 
@@ -105,6 +107,78 @@ def test_decode_truncation_reports_offset():
     assert "at byte" in str(info.value)
     with pytest.raises(TruncatedElement):
         decode_object(b"NDEO\x01" + b"\x08\x00")  # header cut short
+
+
+KEY_TAGS = (TAG_ORDER_ID, TAG_COMPONENT_SERIAL, TAG_METHOD_CODE)
+
+
+def raw_object(elements) -> bytes:
+    """Object bytes of (code, value) pairs in the order given, canonical or not."""
+    return b"NDEO\x01" + b"".join(
+        struct.pack("<HHI", code.group, code.element, len(value)) + value
+        for code, value in elements
+    )
+
+
+def random_elements(rng: random.Random) -> list[tuple[TagCode, bytes]]:
+    """A canonical element list; each key tag present with probability 0.7,
+    with UTF-8 text that may be empty or non-ASCII."""
+    codes = {TagCode(rng.randrange(0x30), rng.randrange(3)) for _ in range(rng.randint(0, 8))}
+    codes.update(tag for tag in KEY_TAGS if rng.random() < 0.7)
+    return [
+        (code, "".join(rng.choice("aZ9-ü€") for _ in range(rng.randrange(6))).encode()
+         if code in KEY_TAGS else rng.randbytes(rng.randrange(10)))
+        for code in sorted(codes)
+    ]
+
+
+def outcome(read, data: bytes):
+    try:
+        return read(data)
+    except Exception as exc:  # the class and message are what is compared
+        return type(exc), str(exc)
+
+
+def decoded_keys(data: bytes):
+    obj = decode_object(data)
+    return obj.order_id, obj.component_serial, obj.method_code
+
+
+def test_query_keys_agree_with_decode_object_on_valid_and_corrupt_bytes():
+    rng = random.Random(20201010)
+    kinds: Counter = Counter()
+
+    def check(data: bytes) -> None:
+        expected = outcome(decoded_keys, data)
+        assert outcome(_query_keys, data) == expected, data
+        kinds[expected[0] if isinstance(expected[0], type) else "keys"] += 1
+
+    for _ in range(60):
+        elements = random_elements(rng)
+        data = raw_object(elements)
+        check(data)
+        for cut in range(len(data)):
+            check(data[:cut])
+        if len(elements) >= 2:
+            i, j = sorted(rng.sample(range(len(elements)), 2))
+            swapped = list(elements)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            check(raw_object(swapped))
+        check(b"NDEX" + data[4:])
+        check(data[:4] + bytes([rng.randrange(2, 256)]) + data[5:])
+        for _ in range(20):
+            flipped = bytearray(data)
+            flipped[rng.randrange(len(data))] ^= rng.randrange(1, 256)
+            check(bytes(flipped))
+        keyed = [k for k, (code, _) in enumerate(elements) if code in KEY_TAGS]
+        if keyed:
+            k = rng.choice(keyed)
+            broken = list(elements)
+            broken[k] = (elements[k][0], elements[k][1] + rng.choice((b"\xff", b"\xc3")))
+            check(raw_object(broken))
+    assert set(kinds) == {
+        "keys", BadPreamble, TruncatedElement, NonCanonicalOrder, UnicodeDecodeError
+    }
 
 
 def test_store_fetch_and_uids(store):
@@ -269,6 +343,16 @@ def test_verify_chain_detects_object_tamper(store, clock):
     assert result.bad_index == 1
 
 
+def test_verify_chain_detects_missing_middle_object(store, clock):
+    for n in range(3):
+        store.store(make_object(uid=f"obj-{n}", order_id=f"ORD-{n}"))
+        clock.advance()
+    (store.directory / f"obj-1{OBJECT_SUFFIX}").unlink()
+    result = store.verify_chain()
+    assert not result.ok
+    assert result.bad_index == 1
+
+
 def test_verify_chain_detects_missing_tail(store, clock):
     store.store(make_object(uid="obj-1"))
     clock.advance()
@@ -345,6 +429,26 @@ def test_missing_object_file_is_a_named_error(store, clock):
         response = wire.request(bytes([opcode]) + body)
         assert response[0] == OP_ERROR
         assert json.loads(response[1:])["code"] == "UnreadableObject"
+
+
+def test_corrupt_object_file_fails_the_index_build(store, clock):
+    store.store(make_object(uid="obj-1"))
+    clock.advance()
+    store.store(make_object(uid="obj-2", order_id="ORD-8"))
+    target = store.directory / f"obj-2{OBJECT_SUFFIX}"
+    # every key still reads, but the tail is a cut-short element header
+    target.write_bytes(target.read_bytes() + b"\x08\x00")
+    with pytest.raises(TruncatedElement) as decoded:
+        decode_object(target.read_bytes())
+    # a failed index build leaves no index behind: the next query fails too
+    for _ in range(2):
+        with pytest.raises(TruncatedElement) as queried:
+            store.query(order_id="ORD-7")
+        assert str(queried.value) == str(decoded.value)
+    assert store.query() == ("obj-1", "obj-2")
+    response = ArchiveWire(store).request(bytes([OP_QUERY]) + b'{"method":"UT"}')
+    assert response[0] == OP_ERROR
+    assert json.loads(response[1:])["code"] == "TruncatedElement"
 
 
 def test_wire_errors(store):

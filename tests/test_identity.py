@@ -137,6 +137,20 @@ def test_instance_id_refuses_any_serial_parse_id_refuses(serial):
         mint_instance_id(TypeId("acme", "x"), serial)
 
 
+@pytest.mark.parametrize("token", ["Acme", "x y", "x" * 65, "", "-lead", "a:b", "a_b"])
+def test_type_id_refuses_any_token_parse_id_refuses(token):
+    with pytest.raises(ParseError):
+        parse_id(f"urn:nde4:type:{token}:x")
+    with pytest.raises(ParseError):
+        parse_id(f"urn:nde4:type:acme:{token}")
+    with pytest.raises(MalformedToken):
+        TypeId(token, "x")
+    with pytest.raises(MalformedToken):
+        TypeId("acme", token)
+    with pytest.raises(MalformedToken):
+        mint_type_id(token, "x")
+
+
 def test_parse_error_offset_points_at_the_serial():
     with pytest.raises(ParseError) as info:
         parse_id("urn:nde4:inst:acme:x:unit.1")

@@ -371,12 +371,24 @@ def test_load_manifest_refuses_wrong_types(body, header, message):
 
 
 def test_every_constructible_instance_id_survives_the_manifest_round_trip():
-    # serials of every allowed character and length, incl. the 64-char limit
+    # serials of every allowed character and length, incl. the 64-char limit,
+    # under namespaces and type names of every allowed character and length
     rng = random.Random(4242)
+    names = random.Random(4243)
     head = "abcXYZ019"
     tail = head + "-"
+
+    def name_token(length: int) -> str:
+        return names.choice("abz019") + "".join(
+            names.choice("abz019-") for _ in range(length - 1))
+
     for length in [1, 2, 63, 64] + [rng.randint(1, 64) for _ in range(40)]:
         serial = rng.choice(head) + "".join(rng.choice(tail) for _ in range(length - 1))
         manifest = shell("acme", "ut-scanner", serial)
         assert load_manifest(dump_manifest(manifest)) == manifest
         assert parse_id(f"urn:nde4:inst:acme:ut-scanner:{serial}").serial == serial
+        # namespace lengths run against the serial's: 64, 63, 2, 1, ...
+        type_id = TypeId(name_token(65 - length), name_token(names.randint(1, 64)))
+        assert parse_id(type_id.canonical()) == type_id
+        manifest = shell(type_id.namespace, type_id.name, serial)
+        assert load_manifest(dump_manifest(manifest)) == manifest

@@ -6,6 +6,7 @@ from __future__ import annotations
 import builtins
 import io
 import json
+import os
 import time
 from collections import Counter
 from pathlib import Path
@@ -60,6 +61,17 @@ def counted(open_, counts: Counter, wanted):
     return open_and_count
 
 
+def counted_os_open(os_open, counts: Counter, wanted):
+    """`os.open` that counts, as `counted` does, the read-only opens of each
+    file whose name `wanted` accepts with mode "r"."""
+    def os_open_and_count(path, flags, *args, **kwargs):
+        name = Path(path).name
+        if not flags & (os.O_WRONLY | os.O_RDWR) and wanted(name, "r"):
+            counts[name] += 1
+        return os_open(path, flags, *args, **kwargs)
+    return os_open_and_count
+
+
 def ms_per_order(config, count: int, data_dir: Path) -> float:
     start = time.perf_counter()
     result = run_scenario(config, data_dir)
@@ -94,9 +106,11 @@ def test_archive_open_reads_no_object_and_queries_read_each_once(tmp_path, monke
     def object_read(name, mode):
         return name.endswith(OBJECT_SUFFIX) and "r" in mode
 
-    # Path.read_bytes opens through io.open; a plain open() is builtins.open
+    # Path.read_bytes opens through io.open, a plain open() is builtins.open,
+    # and archive.read_file is os.open
     monkeypatch.setattr(io, "open", counted(io.open, reads, object_read))
     monkeypatch.setattr(builtins, "open", counted(builtins.open, reads, object_read))
+    monkeypatch.setattr(os, "open", counted_os_open(os.open, reads, object_read))
     reopened = Archive(store.directory)
     assert len(reopened.uids()) == LARGE
     assert not reads
