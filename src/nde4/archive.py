@@ -39,8 +39,8 @@ from .semantics import (
     TAG_ORDER_ID,
     Dictionary,
     TagCode,
-    interpret,
     is_id_token,
+    utf8_text,
     validate_object,
 )
 from .timebase import LogicalClock
@@ -112,9 +112,7 @@ class DataObject:
 
     def _idstr(self, code: TagCode) -> str | None:
         raw = self.raw(code)
-        if raw is None:
-            return None
-        return raw.decode("utf-8")
+        return None if raw is None else utf8_text(raw, code)
 
     @property
     def uid(self) -> str | None:
@@ -212,8 +210,8 @@ def _query_keys(data: bytes) -> tuple[str | None, str | None, str | None]:
         if k is not None:
             spans[k] = (start, end)
     return tuple(
-        None if span is None else data[span[0] : span[1]].decode("utf-8")
-        for span in spans
+        None if span is None else utf8_text(data[span[0] : span[1]], tag)
+        for span, tag in zip(spans, _QUERY_TAGS)
     )
 
 
@@ -474,15 +472,6 @@ class Archive:
                 self._index = index
             return self._index.match(criteria)
 
-    def chain_records(self) -> tuple[ChainRecord, ...]:
-        chain_path = self._chain_path()
-        if not chain_path.exists():
-            return ()
-        records = []
-        for line in chain_path.read_text("utf-8").splitlines():
-            records.append(parse_chain_line(line))
-        return tuple(records)
-
     def verify_chain(self) -> VerifyResult:
         """Recompute all digests; OK, or the smallest index that fails.
 
@@ -534,7 +523,8 @@ class ArchiveWire:
 
     def __init__(self, archive: Archive):
         self._archive = archive
-        # QUERY body to Archive.query: each criterion a string, null if omitted
+        # FETCH and QUERY bodies; each QUERY criterion a string, null if omitted
+        self._fetch_body = json_table(archive.fetch_bytes, (("uid", "uid", str),))
         self._query_body = json_table(archive.query, (
             ("order_id", "orderId", {str: str, NULL: NULL}),
             ("component_serial", "componentSerial", {str: str, NULL: NULL}),
@@ -550,8 +540,7 @@ class ArchiveWire:
         return bytes([OP_RESULT]) + canonical_json({"uid": uid})
 
     def _fetch(self, body: bytes) -> bytes:
-        uid = json_object(body)["uid"]
-        return bytes([OP_RESULT]) + self._archive.fetch_bytes(uid)
+        return bytes([OP_RESULT]) + self._fetch_body(json_object(body))
 
     def _query(self, body: bytes) -> bytes:
         uids = self._query_body(json_object(body))

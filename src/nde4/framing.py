@@ -10,7 +10,8 @@ the archive channel, and silently chunking would defeat that routing.
 ARCHIVE and SOVEREIGN payloads share one request/response convention,
 implemented once here: 1-byte opcode + body, canonical JSON, and failures
 answered as ERROR + {"code", "detail"}. JSON documents read through key
-tables (scenario files, the policy JSON) share one JSON type rule, also here.
+tables share one JSON type rule, also here; tests/test_mutation.py holds
+every decoder and both request wires to it on seeded mutations.
 """
 
 from __future__ import annotations
@@ -115,10 +116,13 @@ def canonical_json(document) -> bytes:
 
 
 def json_object(body: bytes) -> dict:
-    """Decode a UTF-8 JSON object body; ValueError for anything else."""
-    document = json.loads(body.decode("utf-8"))
-    if not isinstance(document, dict):
-        raise ValueError(f"expected a JSON object, got {type(document).__name__}")
+    """Decode a UTF-8 JSON object body; JsonTypeError for anything else."""
+    try:
+        document = json.loads(body.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise JsonTypeError(f"not a UTF-8 JSON document: {exc}") from None
+    if type(document) is not dict:
+        raise _expected(dict, document)
     return document
 
 
@@ -131,8 +135,9 @@ def dispatch(handlers: Mapping[int, Handler], payload: bytes) -> bytes:
 
     A handler takes the body and returns the response payload. An Nde4Error
     it raises answers ERROR with the error's class name as code; an empty
-    payload, an unknown opcode, or a body that fails to decode, lacks a key
-    or holds a value of the wrong type answers ERROR "MalformedRequest".
+    payload, an unknown opcode, or a body that fails json_object or its key
+    table (JsonTypeError) answers ERROR "MalformedRequest". Any other
+    exception is a server fault and propagates.
     """
     if not payload:
         return error_payload("MalformedRequest", "empty payload")
@@ -143,7 +148,7 @@ def dispatch(handlers: Mapping[int, Handler], payload: bytes) -> bytes:
         return handler(payload[1:])
     except Nde4Error as exc:
         return error_payload(type(exc).__name__, str(exc))
-    except (KeyError, TypeError, ValueError) as exc:
+    except JsonTypeError as exc:
         return error_payload("MalformedRequest", str(exc))
 
 
@@ -157,7 +162,7 @@ def serve_frame(channel: Channel, request: Handler, frame_bytes: bytes) -> bytes
     return encode_frame(channel, error_payload("MalformedRequest", detail))
 
 
-# --- typed JSON documents: scenario files and the policy JSON ----------------
+# --- typed JSON documents: one key table per JSON object ---------------------
 
 NULL = type(None)  # the kind of a JSON null
 _JSON_NAMES = {bool: "bool", int: "int", float: "float", str: "str",

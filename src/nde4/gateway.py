@@ -27,8 +27,6 @@ UNMAPPED_BLOB_TAG = TagCode(0x0009, 0x0001)
 
 MUST_MAP_FIELDS = ("order_id", "component_serial", "procedure_id", "component_type")
 
-MAPPING_FILE_PREFIX = "mapping-v"
-
 
 class UnmappedField(Nde4Error):
     """A must-map order field has no mapping table entry."""

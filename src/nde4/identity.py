@@ -175,3 +175,21 @@ def parse_id(text: str) -> TypeId | InstanceId:
         return InstanceId(TypeId(namespace, name), segments[3])
     except MalformedToken as exc:
         raise ParseError(str(exc), offsets[2]) from exc
+
+
+def id_text(kind: type, blank: bool = False) -> dict:
+    """JSON kind (see framing.json_table) of an id of class `kind` as its URN
+    text; with `blank`, an empty string stands for no id."""
+
+    def build(text: str):
+        if blank and not text:
+            return None
+        try:
+            parsed = parse_id(text)
+        except ParseError as exc:
+            raise ValueError(str(exc)) from exc
+        if not isinstance(parsed, kind):
+            raise ValueError(f"expected {kind.__name__} text, got {text!r}")
+        return parsed
+
+    return {str: build}

@@ -12,8 +12,8 @@ from enum import Enum
 from typing import Union
 
 from .errors import Nde4Error
-from .framing import canonical_json, json_object
-from .identity import InstanceId, TypeId, parse_id
+from .framing import NULL, JsonTypeError, canonical_json, json_list, json_object, json_table
+from .identity import InstanceId, TypeId, id_text
 from .semantics import is_id_token
 from .timebase import is_valid_datetime
 
@@ -136,6 +136,9 @@ def validate_report(rv: ReportedValues) -> tuple[str, ...]:
             problems.append(f"archived ref not a valid object UID: {ref!r}")
     if rv.max_amplitude is not None and not isinstance(rv.max_amplitude, (int, float)):
         problems.append(f"max_amplitude must be numeric: {rv.max_amplitude!r}")
+    for key, value in rv.extras.items():
+        if key not in ("notes", "payloadRef") or type(value) is not str:
+            problems.append(f"extra {key!r} is not a notes or payloadRef string: {value!r}")
     return tuple(problems)
 
 
@@ -178,63 +181,50 @@ def encode_message(message: Message) -> bytes:
     return canonical_json(document)
 
 
-_CORE_REPORT_KEYS = {
-    "kind", "orderId", "verdict", "indicationCount", "maxAmplitude", "archivedRefs",
+def _report(order_id, verdict, indication_count, max_amplitude, archived_refs,
+            notes=None, payload_ref=None) -> ReportedValues:
+    extras = {"notes": notes, "payloadRef": payload_ref}
+    return ReportedValues(order_id, verdict, indication_count, max_amplitude, archived_refs,
+                          {key: value for key, value in extras.items() if value is not None})
+
+
+# One key table per message kind, picked by the "kind" key; see
+# framing.json_table for the rules.
+_MESSAGES = {
+    "order": json_table(InspectionOrder, (
+        ("order_id", "orderId", str),
+        ("component_serial", "componentSerial", str),
+        ("component_type", "componentType", id_text(TypeId)),
+        ("procedure_id", "procedureId", str),
+        ("due", "due", str),
+        ("priority", "priority", int),
+        ("station", "station", {NULL: NULL, **id_text(InstanceId)}),
+    )),
+    "status": json_table(StatusEvent, (
+        ("order_id", "orderId", str),
+        ("state", "state", {str: OrderState}),
+        ("at", "at", str),
+    )),
+    "report": json_table(_report, (
+        ("order_id", "orderId", str),
+        ("verdict", "verdict", {str: Verdict}),
+        ("indication_count", "indicationCount", int),
+        ("max_amplitude", "maxAmplitude", {int: float, float: float, NULL: NULL}),
+        ("archived_refs", "archivedRefs", json_list(str)),
+        ("notes", "notes", str),
+        ("payload_ref", "payloadRef", str),
+    )),
+    "ack": json_table(Ack, (("of", "of", str), ("order_id", "orderId", str))),
+    "error": json_table(ErrorMessage, (("code", "code", str), ("detail", "detail", str))),
 }
 
 
 def decode_message(payload: bytes) -> Message:
     try:
         document = json_object(payload)
-    except ValueError as exc:
-        raise MalformedMessage(f"bad message document: {exc}") from exc
-    kind = document.get("kind")
-    try:
-        if kind == "order":
-            station_text = document.get("station")
-            component_type = parse_id(document["componentType"])
-            if not isinstance(component_type, TypeId):
-                raise MalformedMessage("componentType must be a type ID")
-            station = None
-            if station_text:
-                station = parse_id(station_text)
-                if not isinstance(station, InstanceId):
-                    raise MalformedMessage("station must be an instance ID")
-            return InspectionOrder(
-                order_id=document["orderId"],
-                component_serial=document["componentSerial"],
-                component_type=component_type,
-                procedure_id=document["procedureId"],
-                due=document["due"],
-                priority=document.get("priority", 0),
-                station=station,
-            )
-        if kind == "status":
-            return StatusEvent(
-                order_id=document["orderId"],
-                state=OrderState(document["state"]),
-                at=document["at"],
-            )
-        if kind == "report":
-            extras = {
-                key: value
-                for key, value in document.items()
-                if key not in _CORE_REPORT_KEYS
-            }
-            return ReportedValues(
-                order_id=document["orderId"],
-                verdict=Verdict(document["verdict"]),
-                indication_count=document["indicationCount"],
-                max_amplitude=document["maxAmplitude"],
-                archived_refs=tuple(document["archivedRefs"]),
-                extras=extras,
-            )
-        if kind == "ack":
-            return Ack(of=document["of"], order_id=document["orderId"])
-        if kind == "error":
-            return ErrorMessage(code=document["code"], detail=document["detail"])
-    except MalformedMessage:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedMessage(f"bad {kind!r} message: {exc}") from exc
-    raise MalformedMessage(f"unknown message kind: {kind!r}")
+        kind = document.pop("kind", None)
+        if type(kind) is not str or kind not in _MESSAGES:
+            raise JsonTypeError(f"unknown message kind {kind!r}", "kind")
+        return _MESSAGES[kind](document)
+    except JsonTypeError as exc:
+        raise MalformedMessage(f"bad message: {exc}") from exc

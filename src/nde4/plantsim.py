@@ -101,7 +101,6 @@ FAULT_OVERREAD = "POLICY_OVERREAD"
 FAULT_DROP_GATEWAY = "DROP_GATEWAY"
 FAULT_KINDS = (FAULT_TAMPER, FAULT_OVERSIZE, FAULT_OVERREAD, FAULT_DROP_GATEWAY)
 
-SCENARIO_SUFFIX = ".scen"
 TRACE_SUFFIX = ".trace"
 
 REPORT_KEYS = (
@@ -159,7 +158,6 @@ class StationConfig:
     station_id: str
     type_name: str
     methods: tuple[str, ...] = ()
-    person: bool = False
     display_name: str = ""
     children: tuple[tuple[str, str], ...] = ()  # (child id, child type name)
 
@@ -253,7 +251,6 @@ _STATION = json_table(StationConfig, (
     ("station_id", "id", str),
     ("type_name", "type", str),
     ("methods", "methods", json_list(str)),
-    ("person", "person", bool),
     ("display_name", "displayName", str),
     ("children", "children", json_list(json_table(_child, (
         ("child_id", "id", str),

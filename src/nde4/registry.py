@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 from .errors import Nde4Error
 from .framing import JsonTypeError, json_list, json_table
-from .identity import InstanceId, ParseError, TypeId, parse_id
+from .identity import InstanceId, TypeId, id_text
 from .semantics import (
     DICT_V1,
     SEVERITY_ERROR,
@@ -336,30 +336,12 @@ def manifest_to_dict(manifest: Manifest) -> dict:
     }
 
 
-def _id_text(kind: type, blank: bool = False) -> dict:
-    """JSON kind of an id of class `kind` in its text form; with `blank`, an
-    empty string stands for no id (validate_manifest reports it missing)."""
-
-    def build(text: str):
-        if blank and not text:
-            return None
-        try:
-            parsed = parse_id(text)
-        except ParseError as exc:
-            raise ValueError(str(exc)) from exc
-        if not isinstance(parsed, kind):
-            raise ValueError(f"expected {kind.__name__} text, got {text!r}")
-        return parsed
-
-    return {str: build}
-
-
 # One key table per manifest object; see framing.json_table for the rules.
 _TAGS = json_list({str: TagCode.from_text})
 _MANIFEST = json_table(Manifest, (
     ("header", "header", json_table(ManifestHeader, (
-        ("shell_type_id", "shellTypeId", _id_text(TypeId, blank=True)),
-        ("asset_instance_id", "assetInstanceId", _id_text(InstanceId, blank=True)),
+        ("shell_type_id", "shellTypeId", id_text(TypeId, blank=True)),
+        ("asset_instance_id", "assetInstanceId", id_text(InstanceId, blank=True)),
         ("display_name", "displayName", str),
     ))),
     ("body", "body", json_table(ManifestBody, (
@@ -372,7 +354,7 @@ _MANIFEST = json_table(Manifest, (
             ("input_tags", "inputTags", _TAGS),
             ("output_tags", "outputTags", _TAGS),
         )))),
-        ("child_shells", "children", json_list(_id_text(InstanceId))),
+        ("child_shells", "children", json_list(id_text(InstanceId))),
     ))),
 ))
 

@@ -25,8 +25,6 @@ from .errors import Nde4Error
 from .timebase import DATETIME_LENGTH, BadDatetime, parse_datetime
 
 PRIVATE_GROUP_FLOOR = 0x0009
-STANDARD_GROUP_LO = 0x0008
-STANDARD_GROUP_HI = 0x7FFF
 
 # vocabulary for the inspection method code tag
 METHOD_CODES = frozenset({"UT", "RT", "CT", "ET", "MT", "PT", "VT"})
@@ -185,6 +183,14 @@ def lookup(dictionary: Dictionary, code: TagCode) -> TagDefinition | PrivateTag:
 TypedValue = Union[str, int, bytes, tuple]
 
 
+def utf8_text(raw: bytes, what: object) -> str:
+    """The text of a raw value; EncodingError, naming `what`, if not UTF-8."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"{what}: invalid UTF-8: {exc}") from exc
+
+
 def interpret(definition: TagDefinition, raw: bytes) -> TypedValue:
     """Decode raw element bytes into the host-side value for the definition.
 
@@ -192,10 +198,7 @@ def interpret(definition: TagDefinition, raw: bytes) -> TypedValue:
     """
     rep = definition.value_rep
     if rep in (ValueRep.IDSTR, ValueRep.TEXT):
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise EncodingError(f"{definition.name}: invalid UTF-8: {exc}") from exc
+        return utf8_text(raw, definition.name)
     if rep == ValueRep.BYTES:
         return bytes(raw)
 

@@ -54,7 +54,6 @@ EXPIRE = "EXPIRE"
 
 # contract states
 OFFERED = "OFFERED"
-ACCEPTED = "ACCEPTED"
 ACTIVE = "ACTIVE"
 EXHAUSTED = "EXHAUSTED"
 EXPIRED = "EXPIRED"
@@ -173,6 +172,26 @@ policy_from_wire = json_table(UsagePolicy, (
 ))
 
 
+# SOVEREIGN request bodies: one key table per Connector handler (docs/FORMATS.md)
+_SENDER_BODY = (("contract_id", "contractId", str), ("sender", "from", str))
+_OFFER_BODY = (
+    ("contract_id", "contractId", str),
+    ("provider", "provider", str),
+    ("consumer", "consumer", str),
+    ("object_uid", "objectUid", str),
+    ("policy", "policy", policy_from_wire),
+)
+_FORWARD_BODY = _SENDER_BODY + (
+    ("requested", "requestedPolicy", {NULL: NULL, dict: policy_from_wire}),
+)
+
+
+def _json_handler(make: Callable, rows: tuple) -> Callable[[bytes], bytes]:
+    """Request handler reading its JSON body through the key table `rows`."""
+    build = json_table(make, rows)
+    return lambda body: build(json_object(body))
+
+
 def _policy_to_wire(policy: UsagePolicy) -> dict:
     return {key: getattr(policy, name) for name, key, _ in policy_from_wire.rows}
 
@@ -204,16 +223,10 @@ def clamp_policy(parent: UsagePolicy, remaining: int | None,
     )
 
 
-_WIRE_ERRORS: dict[str, type] = {
-    "InvalidPolicy": InvalidPolicy,
-    "UnknownContract": UnknownContract,
-    "WrongConsumer": WrongConsumer,
-    "WrongState": WrongState,
-    "PolicyExhausted": PolicyExhausted,
-    "PolicyExpired": PolicyExpired,
-    "ForwardProhibited": ForwardProhibited,
-    "UnknownUID": UnknownUID,
-}
+_WIRE_ERRORS: dict[str, type] = {cls.__name__: cls for cls in (
+    InvalidPolicy, UnknownContract, WrongConsumer, WrongState, PolicyExhausted,
+    PolicyExpired, ForwardProhibited, UnknownUID,
+)}
 
 
 def _wire_failure(body: bytes) -> tuple[str, Nde4Error]:
@@ -258,6 +271,12 @@ class Connector:
         # one lock per consumed contract, held across the full consume round
         # trip so the audit trail reflects causal order, not thread scheduling
         self._consume_serial: dict[str, threading.Lock] = {}
+        self._handlers = {
+            OP_OFFER: _json_handler(self._handle_offer, _OFFER_BODY),
+            OP_ACCEPT: _json_handler(self._handle_accept, _SENDER_BODY),
+            OP_CONSUME: _json_handler(self._handle_consume, _SENDER_BODY),
+            OP_FORWARD: _json_handler(self._handle_forward, _FORWARD_BODY),
+        }
         self._audit_path: Path | None = None
         if audit_dir is not None:
             directory = Path(audit_dir)
@@ -373,10 +392,6 @@ class Connector:
                 raise UnknownContract(contract_id)
             return replace(contract)  # snapshot copy
 
-    def contract_ids(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._contracts)
-
     # --- consumer side -------------------------------------------------------
 
     def offered_contracts(self) -> tuple[str, ...]:
@@ -463,56 +478,42 @@ class Connector:
 
     def request(self, payload: bytes) -> bytes:
         """Serve one SOVEREIGN request payload; returns the response payload."""
-        handlers = {
-            OP_OFFER: self._handle_offer,
-            OP_ACCEPT: self._handle_accept,
-            OP_CONSUME: self._handle_consume,
-            OP_FORWARD: self._handle_forward,
-        }
-        return dispatch(handlers, payload)
+        return dispatch(self._handlers, payload)
 
     def handle(self, frame_bytes: bytes) -> bytes:
         """Serve one SOVEREIGN request frame; returns the response frame."""
         return serve_frame(Channel.SOVEREIGN, self.request, frame_bytes)
 
-    def _handle_offer(self, body: bytes) -> bytes:
-        document = json_object(body)
-        contract_id = document["contractId"]
+    def _handle_offer(self, contract_id: str, provider: str, consumer: str,
+                      object_uid: str, policy: UsagePolicy) -> bytes:
+        """Mirror an offered contract; the consumer side keeps only its provider."""
         with self._lock:
-            self._mirrors[contract_id] = document["provider"]
+            self._mirrors[contract_id] = provider
         return bytes([OP_OFFER]) + canonical_json({"contractId": contract_id})
 
-    def _handle_accept(self, body: bytes) -> bytes:
-        document = json_object(body)
-        contract_id = document["contractId"]
+    def _consumer_contract(self, contract_id: str, sender: str) -> UsageContract:
+        """The contract `contract_id`, if `sender` is its consumer; hold the lock."""
+        contract = self._contracts.get(contract_id)
+        if contract is None:
+            raise UnknownContract(contract_id)
+        if sender != str(contract.consumer):
+            raise WrongConsumer(f"{sender} is not {contract.consumer}")
+        return contract
+
+    def _handle_accept(self, contract_id: str, sender: str) -> bytes:
         with self._lock:
-            contract = self._contracts.get(contract_id)
-            if contract is None:
-                raise UnknownContract(contract_id)
-            if document.get("from") != str(contract.consumer):
-                raise WrongConsumer(
-                    f"{document.get('from')} is not {contract.consumer}"
-                )
+            contract = self._consumer_contract(contract_id, sender)
             if contract.state != OFFERED:
                 raise WrongState(f"{contract_id} is {contract.state}, not {OFFERED}")
-            contract.state = ACCEPTED
             contract.state = ACTIVE  # handshake completes immediately at desk scale
             self._audit_event(ACCEPT, contract_id, f"by {contract.consumer}")
         return bytes([OP_ACCEPT]) + canonical_json(
             {"contractId": contract_id, "state": ACTIVE}
         )
 
-    def _handle_consume(self, body: bytes) -> bytes:
-        document = json_object(body)
-        contract_id = document["contractId"]
+    def _handle_consume(self, contract_id: str, sender: str) -> bytes:
         with self._lock:
-            contract = self._contracts.get(contract_id)
-            if contract is None:
-                raise UnknownContract(contract_id)
-            if document.get("from") != str(contract.consumer):
-                raise WrongConsumer(
-                    f"{document.get('from')} is not {contract.consumer}"
-                )
+            contract = self._consumer_contract(contract_id, sender)
             now = self._clock.now_text()
             if contract.state == EXHAUSTED:
                 self._audit_event(DENY, contract_id, "exhausted")
@@ -546,28 +547,15 @@ class Connector:
         header = canonical_json({"contractId": contract_id, "exhausted": exhausted})
         return bytes([OP_DATA]) + struct.pack("<I", len(header)) + header + object_bytes
 
-    def _handle_forward(self, body: bytes) -> bytes:
-        document = json_object(body)
-        contract_id = document["contractId"]
+    def _handle_forward(self, contract_id: str, sender: str,
+                        requested: UsagePolicy | None = None) -> bytes:
         with self._lock:
-            contract = self._contracts.get(contract_id)
-            if contract is None:
-                raise UnknownContract(contract_id)
-            if document.get("from") != str(contract.consumer):
-                raise WrongConsumer(
-                    f"{document.get('from')} is not {contract.consumer}"
-                )
+            contract = self._consumer_contract(contract_id, sender)
             if contract.state != ACTIVE:
                 raise WrongState(f"{contract_id} is {contract.state}, not {ACTIVE}")
             if not contract.policy.allow_forward:
                 self._audit_event(DENY, contract_id, "forwarding prohibited")
                 return error_payload("ForwardProhibited", contract_id, OP_DENY)
-            requested_document = document.get("requestedPolicy")
-            requested = (
-                policy_from_wire(requested_document)
-                if requested_document is not None
-                else None
-            )
             granted = clamp_policy(contract.policy, contract.remaining_reads, requested)
         return bytes([OP_FORWARD]) + canonical_json(
             {

@@ -28,13 +28,16 @@ from nde4.archive import (
     TruncatedElement,
     UnknownUID,
     UnreadableObject,
+    VerifyResult,
     _query_keys,
     decode_object,
     encode_object,
     parse_chain_line,
 )
 from nde4.errors import ValidationFailed
-from nde4.semantics import TAG_COMPONENT_SERIAL, TAG_METHOD_CODE, TAG_ORDER_ID, TagCode
+from nde4.semantics import (
+    TAG_COMPONENT_SERIAL, TAG_METHOD_CODE, TAG_ORDER_ID, EncodingError, TagCode,
+)
 from nde4.timebase import LogicalClock
 
 
@@ -177,7 +180,7 @@ def test_query_keys_agree_with_decode_object_on_valid_and_corrupt_bytes():
             broken[k] = (elements[k][0], elements[k][1] + rng.choice((b"\xff", b"\xc3")))
             check(raw_object(broken))
     assert set(kinds) == {
-        "keys", BadPreamble, TruncatedElement, NonCanonicalOrder, UnicodeDecodeError
+        "keys", BadPreamble, TruncatedElement, NonCanonicalOrder, EncodingError
     }
 
 
@@ -451,6 +454,22 @@ def test_corrupt_object_file_fails_the_index_build(store, clock):
     assert json.loads(response[1:])["code"] == "TruncatedElement"
 
 
+def test_non_utf8_key_value_on_disk_is_named_store_damage(store, clock):
+    store.store(make_object(uid="obj-1"))
+    target = store.directory / f"obj-1{OBJECT_SUFFIX}"
+    target.write_bytes(target.read_bytes().replace(b"ORD-7", b"ORD-\xff"))
+    reopened = Archive(store.directory, clock)
+    with pytest.raises(EncodingError):
+        reopened.fetch("obj-1").order_id
+    wire = ArchiveWire(reopened)
+    response = wire.request(bytes([OP_QUERY]) + b'{"orderId":"ORD-7"}')
+    assert response[0] == OP_ERROR
+    assert json.loads(response[1:])["code"] == "EncodingError"
+    # the bytes still travel; verify_chain names the damaged record
+    assert wire.request(bytes([OP_FETCH]) + b'{"uid":"obj-1"}')[0] == OP_RESULT
+    assert reopened.verify_chain() == VerifyResult(False, 0, 1)
+
+
 def test_wire_errors(store):
     wire = ArchiveWire(store)
     response = wire.request(bytes([OP_FETCH]) + b'{"uid":"ghost"}')
@@ -466,6 +485,7 @@ def test_wire_errors(store):
         (OP_FETCH, b"[1]"),
         (OP_FETCH, b'"x"'),
         (OP_FETCH, b'{"uid":[1]}'),
+        (OP_FETCH, b'{"uid":5}'),
         (OP_QUERY, b"[]"),
         (OP_QUERY, b'{"orderID":"ORD-1"}'),
         (OP_QUERY, b'{"orderId":5}'),

@@ -251,6 +251,25 @@ def test_report_values_guards(bus, store, clock):
         )
 
 
+def test_report_extras_are_what_the_decoder_admits(bus, store, clock):
+    drive_to_archived(bus, store, clock)
+    frames: list[bytes] = []
+    bus.tap(frames.append)
+    # only a notes or payloadRef string rides along: the bus carries no
+    # report that decode_message would refuse
+    for extras in ({"reviewer": "x"}, {"notes": 5}, {"payloadRef": None}):
+        with pytest.raises(ValidationFailed):
+            bus.report_values(ReportedValues(
+                "ORD-7", Verdict.ACCEPT, 0, archived_refs=("obj-1",), extras=extras
+            ))
+    assert frames == []
+    extras = {"notes": "seam 3", "payloadRef": "obj-1"}
+    bus.report_values(
+        ReportedValues("ORD-7", Verdict.ACCEPT, 0, archived_refs=("obj-1",), extras=extras)
+    )
+    assert decode_message(decode_frame(frames[0]).payload).extras == extras
+
+
 def test_report_values_wrong_state_before_archive(bus, store):
     bus.submit_order(order())
     store.store(make_object(uid="obj-1"))

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import ast
 import json
 import random
 import struct
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import nde4
 from nde4.framing import (
     BadMagic,
     BadVersion,
@@ -167,3 +170,18 @@ def test_canonical_json_matches_json_dumps_from_many_threads():
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(finished) == [0, 1, 2, 3]
     assert failures == []
+
+
+def test_no_source_catches_key_error():
+    # JSON is read through key tables (json_object, json_table), whose one
+    # error is JsonTypeError; an except naming KeyError means a hand reader
+    # indexes a document again
+    catches = []
+    for path in sorted(Path(nde4.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and any(
+                isinstance(name, ast.Name) and name.id == "KeyError"
+                for name in ast.walk(node.type)
+            ):
+                catches.append(f"{path.name}:{node.lineno}")
+    assert catches == []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from nde4.messages import (
     StatusEvent,
     TERMINAL_STATES,
     Verdict,
+    _MESSAGES,
     decode_message,
     encode_message,
     is_legal_transition,
@@ -180,3 +182,13 @@ def test_validate_report_problems():
     assert validate_report(bad_ref)
     negative = ReportedValues("ORD-7", Verdict.ACCEPT, -1)
     assert validate_report(negative)
+
+
+def test_formats_doc_states_every_message_key():
+    formats = Path(__file__).resolve().parent.parent / "docs" / "FORMATS.md"
+    section = formats.read_text("utf-8").split("\n## Bus messages")[1].split("\n## ")[0]
+    for kind, table in _MESSAGES.items():
+        # each kind's keys follow its name, up to the next kind
+        entry = section.split(f"\n{kind}\n: ")[1].split("\n\n")[0]
+        missing = [key for _, key, _ in table.rows if f"`{key}`" not in entry]
+        assert missing == [], kind

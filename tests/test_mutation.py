@@ -436,13 +436,6 @@ def test_archive_wire_mutants(store):
     assert "MalformedRequest" in check_wire(wire.request, payloads)
 
 
-def test_fetch_of_a_non_string_uid_is_malformed(store):
-    store.store(make_object(uid="obj-1"))
-    response = ArchiveWire(store).request(bytes([OP_FETCH]) + b'{"uid":5}')
-    assert response[0] == OP_ERROR
-    assert json.loads(response[1:])["code"] == "MalformedRequest"
-
-
 def test_sovereign_wire_mutants(tmp_path, clock):
     rng = random.Random(1709)
     archive = Archive(tmp_path / "data", clock)

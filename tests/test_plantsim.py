@@ -356,6 +356,11 @@ WRONG_TYPES = [
         '{"companies": [{"name": "a", "role": "OEM", "stations": [{"id": "s"}]}]}',
         "companies[0].stations[0].type: required key missing",
     ),
+    (
+        '{"companies": [{"name": "a", "role": "OEM", "stations":'
+        ' [{"id": "s", "type": "t", "person": true}]}]}',
+        "companies[0].stations[0].person: unknown key",
+    ),
 ]
 
 
@@ -415,7 +420,7 @@ def test_formats_doc_states_every_scenario_key():
     section = text.split("\n## Scenarios\n")[1].split("\n## ")[0]
     example = json.loads(section.split("```json\n")[1].split("\n```")[0])
     keys = _table_keys(_SCENARIO)
-    assert {"person", "displayName", "children", "station", "maxReads"} <= keys
+    assert {"rejectThreshold", "displayName", "children", "station", "maxReads"} <= keys
     assert [key for key in sorted(keys) if f"`{key}`" not in section] == []
     assert _document_keys(example) <= keys
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -35,7 +36,11 @@ from nde4.sovereignty import (
     UsagePolicy,
     WrongConsumer,
     WrongState,
+    _FORWARD_BODY,
+    _OFFER_BODY,
+    _SENDER_BODY,
     clamp_policy,
+    policy_from_wire,
     policy_problems,
     replay,
 )
@@ -387,3 +392,10 @@ def test_taps_observe_sovereign_frames(pair, clock, tmp_path):
     for raw in frames:
         frame = decode_frame(raw)
         assert frame.channel == Channel.SOVEREIGN
+
+
+def test_formats_doc_states_every_request_key():
+    formats = Path(__file__).resolve().parent.parent / "docs" / "FORMATS.md"
+    section = formats.read_text("utf-8").split("\n## Sovereignty wire")[1].split("\n## ")[0]
+    rows = _OFFER_BODY + _SENDER_BODY + _FORWARD_BODY + policy_from_wire.rows
+    assert [key for _, key, _ in rows if f"`{key}`" not in section] == []
