@@ -119,7 +119,7 @@ def json_object(body: bytes) -> dict:
     """Decode a UTF-8 JSON object body; JsonTypeError for anything else."""
     try:
         document = json.loads(body.decode("utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
         raise JsonTypeError(f"not a UTF-8 JSON document: {exc}") from None
     if type(document) is not dict:
         raise _expected(dict, document)

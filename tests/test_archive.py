@@ -486,6 +486,7 @@ def test_wire_errors(store):
         (OP_FETCH, b'"x"'),
         (OP_FETCH, b'{"uid":[1]}'),
         (OP_FETCH, b'{"uid":5}'),
+        (OP_QUERY, b"[" * 100_000),
         (OP_QUERY, b"[]"),
         (OP_QUERY, b'{"orderID":"ORD-1"}'),
         (OP_QUERY, b'{"orderId":5}'),

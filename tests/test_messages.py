@@ -107,6 +107,7 @@ def test_encoding_is_canonical():
         b'{"orderId":"ORD-1"}',
         b'{"kind":"order","orderId":"ORD-1"}',  # missing fields
         b'{"kind":"status","orderId":"ORD-1","state":"LOST","at":"20200101T000000"}',
+        b"[" * 100_000,
     ],
 )
 def test_decode_rejects_malformed(payload):

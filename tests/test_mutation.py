@@ -26,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-import nde4
 from conftest import make_object, station_id, station_manifest
 from nde4.archive import (
     OP_FETCH,
@@ -35,6 +34,7 @@ from nde4.archive import (
     Archive,
     ArchiveWire,
     ChainRecord,
+    DataObject,
     decode_object,
     encode_object,
     parse_chain_line,
@@ -43,6 +43,7 @@ from nde4.errors import Nde4Error
 from nde4.framing import (
     OP_ERROR,
     Channel,
+    Frame,
     JsonTypeError,
     canonical_json,
     decode_frame,
@@ -54,6 +55,7 @@ from nde4.messages import (
     ErrorMessage,
     InspectionOrder,
     MalformedMessage,
+    Message,
     OrderState,
     ReportedValues,
     StatusEvent,
@@ -61,7 +63,7 @@ from nde4.messages import (
     decode_message,
     encode_message,
 )
-from nde4.plantsim import ConfigInvalid, load_scenario
+from nde4.plantsim import ConfigInvalid, ScenarioConfig, load_scenario
 from nde4.registry import (
     DataRef,
     Manifest,
@@ -259,7 +261,7 @@ def test_decode_frame_mutants():
     accepted = check_decoder(
         decode_frame, Nde4Error,
         lambda frame, data: encode_frame(frame.channel, frame.payload) == data,
-        inputs, nde4.framing.Frame,
+        inputs, Frame,
     )
     assert 0 < accepted < len(inputs)
 
@@ -272,7 +274,7 @@ def test_decode_message_mutants():
     ]
     accepted = check_decoder(
         decode_message, MalformedMessage,
-        same_json(encode_message, decode_message), inputs, nde4.messages.Message,
+        same_json(encode_message, decode_message), inputs, Message,
     )
     assert 0 < accepted < len(inputs)
 
@@ -287,7 +289,7 @@ def test_decode_object_mutants():
     accepted = check_decoder(
         decode_object, Nde4Error,
         lambda obj, data: encode_object(obj) == data,
-        inputs, nde4.archive.DataObject,
+        inputs, DataObject,
     )
     assert 0 < accepted < len(inputs)
 
@@ -344,7 +346,7 @@ def test_load_scenario_mutants():
     # a scenario has no encoder: the rule checks the annotated types only
     accepted = check_decoder(
         load_scenario, ConfigInvalid, lambda config, text: True,
-        inputs, nde4.plantsim.ScenarioConfig,
+        inputs, ScenarioConfig,
     )
     assert 0 < accepted < len(inputs)
 
