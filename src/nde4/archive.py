@@ -37,7 +37,6 @@ from .semantics import (
     TAG_METHOD_CODE,
     TAG_OBJECT_UID,
     TAG_ORDER_ID,
-    Dictionary,
     TagCode,
     is_id_token,
     utf8_text,
@@ -144,11 +143,8 @@ def encode_object(obj: DataObject) -> bytes:
             raise TruncatedElement(
                 f"{element.code} value too large for u32 length"
             )
-        chunks.append(
-            struct.pack(
-                "<HHI", element.code.group, element.code.element, len(element.value)
-            )
-        )
+        code = element.code
+        chunks.append(_ELEMENT_HEADER.pack(code.group, code.element, len(element.value)))
         chunks.append(element.value)
     return b"".join(chunks)
 
@@ -351,12 +347,10 @@ class Archive:
         self,
         directory: str | Path | None = None,
         clock: LogicalClock | None = None,
-        dictionary: Dictionary = DICT_V1,
     ):
         self._dir = Path(directory) if directory is not None else data_dir()
         self._dir.mkdir(parents=True, exist_ok=True)
         self._clock = clock if clock is not None else LogicalClock()
-        self._dictionary = dictionary
         self._lock = threading.Lock()
         self._uids: dict[str, None] = {}  # store order; O(1) membership
         self._index: _QueryIndex | None = None  # built by the first query
@@ -397,7 +391,7 @@ class Archive:
             self._last_digest = digest(record.canonical_bytes())
 
     def store(self, obj: DataObject) -> str:
-        report = validate_object(self._dictionary, obj)
+        report = validate_object(DICT_V1, obj)
         if report.blocking:
             raise ValidationFailed(str(report), report)
         uid = obj.uid

@@ -168,6 +168,19 @@ class OrdersBus:
         with self._lock:
             self._taps.append(callback)
 
+    def _record(self, order_id: str) -> _OrderRecord:
+        """The order's record; the caller holds the lock."""
+        record = self._orders.get(order_id)
+        if record is None:
+            raise UnknownOrder(order_id)
+        return record
+
+    def _require_station(self, station: InstanceId) -> None:
+        try:
+            self._registry.resolve(station)
+        except UnknownShell:
+            raise UnknownStation(str(station)) from None
+
     def _carry(self, message) -> None:
         """Push a message through real framing so cap and taps apply."""
         frame_bytes = encode_frame(Channel.ORDERS, encode_message(message))
@@ -184,10 +197,7 @@ class OrdersBus:
         if problems:
             raise ValidationFailed("; ".join(problems))
         if order.station is not None:
-            try:
-                self._registry.resolve(order.station)
-            except UnknownShell:
-                raise UnknownStation(str(order.station)) from None
+            self._require_station(order.station)
         self._carry(order)
         with self._lock:
             if order.order_id in self._orders:
@@ -203,17 +213,11 @@ class OrdersBus:
 
     def order(self, order_id: str) -> InspectionOrder:
         with self._lock:
-            record = self._orders.get(order_id)
-        if record is None:
-            raise UnknownOrder(order_id)
-        return record.order
+            return self._record(order_id).order
 
     def order_state(self, order_id: str) -> OrderState:
         with self._lock:
-            record = self._orders.get(order_id)
-        if record is None:
-            raise UnknownOrder(order_id)
-        return record.state
+            return self._record(order_id).state
 
     def order_ids(self) -> tuple[str, ...]:
         with self._lock:
@@ -221,23 +225,14 @@ class OrdersBus:
 
     def history(self, order_id: str) -> tuple[StatusEvent, ...]:
         with self._lock:
-            record = self._orders.get(order_id)
-            if record is None:
-                raise UnknownOrder(order_id)
-            return tuple(record.history)
+            return tuple(self._record(order_id).history)
 
     def kpis(self, order_id: str) -> ReportedValues | None:
         with self._lock:
-            record = self._orders.get(order_id)
-            if record is None:
-                raise UnknownOrder(order_id)
-            return record.kpis
+            return self._record(order_id).kpis
 
     def poll_worklist(self, station: InstanceId) -> tuple[InspectionOrder, ...]:
-        try:
-            self._registry.resolve(station)
-        except UnknownShell:
-            raise UnknownStation(str(station)) from None
+        self._require_station(station)
         capabilities = station_methods(self._registry, station)
         with self._lock:
             candidates = []
@@ -254,14 +249,9 @@ class OrdersBus:
 
     def assign(self, order_id: str, station: InstanceId) -> None:
         """Claim an order for one station and publish the ASSIGNED event."""
-        try:
-            self._registry.resolve(station)
-        except UnknownShell:
-            raise UnknownStation(str(station)) from None
+        self._require_station(station)
         with self._lock:
-            record = self._orders.get(order_id)
-            if record is None:
-                raise UnknownOrder(order_id)
+            record = self._record(order_id)
             if record.state != OrderState.QUEUED:
                 raise WrongState(
                     f"{order_id} is {record.state.value}, not QUEUED"
@@ -276,9 +266,7 @@ class OrdersBus:
     def publish_status(self, event: StatusEvent, initial: bool = False) -> None:
         self._carry(event)
         with self._lock:
-            record = self._orders.get(event.order_id)
-            if record is None:
-                raise UnknownOrder(event.order_id)
+            record = self._record(event.order_id)
             if initial:
                 if record.history:
                     raise IllegalTransition("initial event already published")
@@ -316,9 +304,7 @@ class OrdersBus:
     def report_values(self, rv: ReportedValues) -> str:
         problems = list(validate_report(rv))
         with self._lock:
-            record = self._orders.get(rv.order_id)
-        if record is None:
-            raise UnknownOrder(rv.order_id)
+            record = self._record(rv.order_id)
         procedure = self._procedures[record.order.procedure_id]
         if len(rv.archived_refs) < procedure.min_refs:
             problems.append(

@@ -38,10 +38,11 @@ class CommandResult:
     output: str
 
 
-def _emit(args, text: str, document) -> str:
+def _result(args, code: int, text: str, document) -> CommandResult:
+    """The command's result, its output in the format `args` asks for."""
     if args.format == "json":
-        return json.dumps(document, indent=2, sort_keys=True)
-    return text
+        text = json.dumps(document, indent=2, sort_keys=True)
+    return CommandResult(code, text)
 
 
 # --- sim -----------------------------------------------------------------------
@@ -97,7 +98,7 @@ def cmd_sim_run(args) -> CommandResult:
             "deadlock": exc.blocking,
             "trace": str(trace_path),
         }
-        return CommandResult(EXIT_RUNTIME, _emit(args, text_out, document))
+        return _result(args, EXIT_RUNTIME, text_out, document)
     trace_path, report_path = _write_run_files(
         out_dir, stem, result.trace_lines, result.report
     )
@@ -112,7 +113,7 @@ def cmd_sim_run(args) -> CommandResult:
         "events": len(result.trace_lines),
     }
     code = EXIT_OK if _report_is_clean(result.report) else EXIT_FINDINGS
-    return CommandResult(code, _emit(args, text_out, document))
+    return _result(args, code, text_out, document)
 
 
 # --- archive -----------------------------------------------------------------------
@@ -132,16 +133,14 @@ def cmd_archive_verify(args) -> CommandResult:
     else:
         text = f"chain bad at index {result.bad_index} ({result.records} records)"
     document = {"ok": result.ok, "badIndex": result.bad_index, "records": result.records}
-    return CommandResult(
-        EXIT_OK if result.ok else EXIT_FINDINGS, _emit(args, text, document)
-    )
+    return _result(args, EXIT_OK if result.ok else EXIT_FINDINGS, text, document)
 
 
 def cmd_archive_ls(args) -> CommandResult:
     store = _open_store(args)
     uids = store.uids()
     text = "\n".join(uids) if uids else "(empty)"
-    return CommandResult(EXIT_OK, _emit(args, text, {"uids": list(uids)}))
+    return _result(args, EXIT_OK, text, {"uids": list(uids)})
 
 
 def _render_value(definition, raw: bytes):
@@ -173,7 +172,7 @@ def cmd_archive_dump(args) -> CommandResult:
             {"tag": element.code.text(), "name": name, "value": json_value}
         )
     document = {"uid": args.uid, "elements": elements}
-    return CommandResult(EXIT_OK, _emit(args, "\n".join(lines), document))
+    return _result(args, EXIT_OK, "\n".join(lines), document)
 
 
 # --- validate -----------------------------------------------------------------------
@@ -192,7 +191,7 @@ def _findings_result(args, report) -> CommandResult:
         ],
     }
     code = EXIT_OK if report.ok else EXIT_FINDINGS
-    return CommandResult(code, _emit(args, str(report), document))
+    return _result(args, code, str(report), document)
 
 
 def cmd_validate_shell(args) -> CommandResult:
@@ -229,10 +228,8 @@ def cmd_validate_object(args) -> CommandResult:
 def cmd_rami_locate(args) -> CommandResult:
     locus = locate(args.component)
     cells = sorted(c.text() for c in locus.cells)
-    text = "\n".join(cells)
-    return CommandResult(
-        EXIT_OK, _emit(args, text, {"component": args.component, "cells": cells})
-    )
+    document = {"component": args.component, "cells": cells}
+    return _result(args, EXIT_OK, "\n".join(cells), document)
 
 
 def cmd_rami_coverage(args) -> CommandResult:
@@ -243,10 +240,7 @@ def cmd_rami_coverage(args) -> CommandResult:
         return CommandResult(EXIT_USAGE, f"bad --cell value: {exc}")
     gaps = gaps_text(coverage_check(required, loci))
     text = "\n".join(gaps) if gaps else "no gaps"
-    document = {"gaps": list(gaps)}
-    return CommandResult(
-        EXIT_OK if not gaps else EXIT_FINDINGS, _emit(args, text, document)
-    )
+    return _result(args, EXIT_FINDINGS if gaps else EXIT_OK, text, {"gaps": list(gaps)})
 
 
 # --- wiring -----------------------------------------------------------------------

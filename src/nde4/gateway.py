@@ -20,7 +20,7 @@ from .bus import DanglingArchiveRef, Procedure
 from .errors import Nde4Error
 from .framing import ORDERS_PAYLOAD_LIMIT, canonical_json
 from .messages import InspectionOrder, ReportedValues, Verdict
-from .semantics import TagCode
+from .semantics import TagCode, tsv_rows, tsv_text
 
 # textual blob carrying whatever the mapping table does not cover
 UNMAPPED_BLOB_TAG = TagCode(0x0009, 0x0001)
@@ -81,26 +81,18 @@ class MappingTable:
 
 
 def dump_mapping_tsv(mapping: MappingTable) -> str:
-    lines = []
-    for field_name, code in mapping.pairs:
-        lines.append(f"{field_name}\t{code.group:04X}\t{code.element:04X}")
-    return "\n".join(lines) + "\n"
+    return tsv_text(
+        (field_name, f"{code.group:04X}", f"{code.element:04X}")
+        for field_name, code in mapping.pairs
+    )
 
 
 def load_mapping_tsv(text: str, version: int) -> MappingTable:
-    pairs = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise ValueError(f"mapping line {lineno}: expected 3 columns")
-        field_name, group_text, element_text = parts
-        pairs.append(
-            (field_name, TagCode(int(group_text, 16), int(element_text, 16)))
-        )
-    return MappingTable(version, tuple(pairs))
+    pairs = tuple(
+        (field_name, TagCode(int(group_text, 16), int(element_text, 16)))
+        for field_name, group_text, element_text in tsv_rows(text, 3, "mapping")
+    )
+    return MappingTable(version, pairs)
 
 
 MAPPING_V1 = load_mapping_tsv(

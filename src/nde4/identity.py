@@ -12,6 +12,7 @@ Canonical forms:
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 
@@ -125,14 +126,8 @@ def parse_id(text: str) -> TypeId | InstanceId:
     Round-trip law: parse_id(x.canonical()) == x for every minted ID.
     """
     if not text.startswith(URN_PREFIX):
-        # locate the first diverging byte for the error offset
-        offset = 0
-        for i, (a, b) in enumerate(zip(text, URN_PREFIX)):
-            if a != b:
-                offset = i
-                break
-        else:
-            offset = len(text)
+        # the error offset is the first byte that diverges from the prefix
+        offset = len(os.path.commonprefix((text, URN_PREFIX)))
         raise ParseError(f"expected prefix {URN_PREFIX!r}", offset)
 
     rest = text[len(URN_PREFIX):]

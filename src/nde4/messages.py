@@ -31,13 +31,8 @@ class OrderState(Enum):
     REJECTED = "REJECTED"
 
 
-_STATE_RANK = {
-    OrderState.QUEUED: 0,
-    OrderState.ASSIGNED: 1,
-    OrderState.IN_PROGRESS: 2,
-    OrderState.DATA_ARCHIVED: 3,
-    OrderState.REPORTED: 4,
-}
+# declaration order is lifecycle order; REJECTED's rank is never read
+_STATE_RANK = {state: rank for rank, state in enumerate(OrderState)}
 
 TERMINAL_STATES = frozenset({OrderState.REPORTED, OrderState.REJECTED})
 

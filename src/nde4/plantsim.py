@@ -19,6 +19,7 @@ import json
 import random
 import struct
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -654,7 +655,6 @@ class _Engine:
             f"{config.seed}:uid".encode("utf-8")
         ).hexdigest()[:8]
         self._station_ids: dict[tuple[str, str], InstanceId] = {}
-        self._company_owner: dict[str, InstanceId] = {}
         self._registered_components: set[str] = set()
         self._order_plan: dict[str, OrderPlan] = {
             plan.order_id: plan for plan in config.orders
@@ -695,6 +695,9 @@ class _Engine:
         )
         self._seq += 1
 
+    def _publish(self, order_id: str, state: OrderState) -> None:
+        self.bus.publish_status(StatusEvent(order_id, state, self.clock.now_text()))
+
     def drain_status(self) -> None:
         for _, event in self.subscription.drain():
             self.emit(
@@ -711,9 +714,6 @@ class _Engine:
         self._uid_counter += 1
         return f"obj-{self._uid_prefix}-{self._uid_counter}"
 
-    def station_instance(self, company: str, station_id: str) -> InstanceId:
-        return self._station_ids[(company, station_id)]
-
     def _procedure(self, procedure_id: str) -> Procedure:
         procedure = self.bus.procedure(procedure_id)
         assert procedure is not None  # config validation guarantees it
@@ -723,19 +723,16 @@ class _Engine:
 
     def register_shells(self) -> None:
         for company in self.config.companies:
-            mes_type = TypeId(company.name, "mes")
-            mes_id = InstanceId(mes_type, "main")
-            self._company_owner[company.name] = mes_id
             self._register(
                 f"{company.name}/mes",
-                Manifest(
-                    ManifestHeader(mes_type, mes_id, f"{company.name} MES"),
-                    ManifestBody(),
-                ),
+                InstanceId(TypeId(company.name, "mes"), "main"),
+                f"{company.name} MES",
             )
             for station in company.stations:
-                station_type = TypeId(company.name, station.type_name)
-                station_id = InstanceId(station_type, station.station_id)
+                actor = f"{company.name}/{station.station_id}"
+                station_id = InstanceId(
+                    TypeId(company.name, station.type_name), station.station_id
+                )
                 self._station_ids[(company.name, station.station_id)] = station_id
                 child_ids = tuple(
                     InstanceId(TypeId(company.name, child_type), child_id)
@@ -751,37 +748,15 @@ class _Engine:
                 )
                 # parent first, children after: the dangling-child path
                 self._register(
-                    f"{company.name}/{station.station_id}",
-                    Manifest(
-                        ManifestHeader(
-                            station_type,
-                            station_id,
-                            station.display_name or station.station_id,
-                        ),
-                        ManifestBody(service_descs=services, child_shells=child_ids),
-                    ),
+                    actor,
+                    station_id,
+                    station.display_name or station.station_id,
+                    ManifestBody(service_descs=services, child_shells=child_ids),
                 )
                 for child_instance in child_ids:
-                    self._register(
-                        f"{company.name}/{station.station_id}",
-                        Manifest(
-                            ManifestHeader(
-                                child_instance.type_id,
-                                child_instance,
-                                child_instance.serial,
-                            ),
-                            ManifestBody(),
-                        ),
-                    )
+                    self._register(actor, child_instance, child_instance.serial)
         # the gateway asset exists even when its actor is dropped by a fault
-        gateway_type = TypeId("plant", "gateway")
-        self._register(
-            "gateway",
-            Manifest(
-                ManifestHeader(gateway_type, InstanceId(gateway_type, "main"), "gateway"),
-                ManifestBody(),
-            ),
-        )
+        self._register("gateway", InstanceId(TypeId("plant", "gateway"), "main"), "gateway")
         if self.config.sovereignty:
             certified = None
             if self.config.allowlist:
@@ -790,14 +765,9 @@ class _Engine:
                     for name in self.config.allowlist
                 }
             for company in self.config.companies:
-                connector_type = TypeId(company.name, "connector")
-                owner = InstanceId(connector_type, "main")
+                owner = InstanceId(TypeId(company.name, "connector"), "main")
                 self._register(
-                    f"connector/{company.name}",
-                    Manifest(
-                        ManifestHeader(connector_type, owner, f"{company.name} connector"),
-                        ManifestBody(),
-                    ),
+                    f"connector/{company.name}", owner, f"{company.name} connector"
                 )
                 self.connectors[company.name] = Connector(
                     name=company.name,
@@ -813,7 +783,14 @@ class _Engine:
                 for other in linked[i + 1 :]:
                     connector.link(other)
 
-    def _register(self, actor: str, manifest: Manifest) -> None:
+    def _register(
+        self,
+        actor: str,
+        instance: InstanceId,
+        display_name: str,
+        body: ManifestBody = ManifestBody(),
+    ) -> None:
+        manifest = Manifest(ManifestHeader(instance.type_id, instance, display_name), body)
         instance = self.registry.register_shell(manifest)
         report = self.registry.validate(manifest)
         self.emit(
@@ -829,218 +806,198 @@ class _Engine:
 
     def schedule_orders(self) -> None:
         for index, plan in enumerate(self.config.orders):
-            self.schedule((index + 1) * 60, f"{plan.company}/mes", self._submitter(plan))
+            self.schedule(
+                (index + 1) * 60, f"{plan.company}/mes", partial(self._submit, plan)
+            )
 
-    def _submitter(self, plan: OrderPlan) -> Callable[[], None]:
-        def handler() -> None:
-            component_type = parse_id(plan.component_type)
-            assert isinstance(component_type, TypeId)
-            station = None
-            if plan.station_id is not None:
-                station = self.station_instance(plan.company, plan.station_id)
-            order = InspectionOrder(
-                order_id=plan.order_id,
-                component_serial=plan.component_serial,
-                component_type=component_type,
-                procedure_id=plan.procedure_id,
-                due=format_tick(plan.due_ticks),
-                priority=plan.priority,
-                station=station,
+    def _submit(self, plan: OrderPlan) -> None:
+        component_type = parse_id(plan.component_type)
+        assert isinstance(component_type, TypeId)
+        station = None
+        if plan.station_id is not None:
+            station = self._station_ids[(plan.company, plan.station_id)]
+        order = InspectionOrder(
+            order_id=plan.order_id,
+            component_serial=plan.component_serial,
+            component_type=component_type,
+            procedure_id=plan.procedure_id,
+            due=format_tick(plan.due_ticks),
+            priority=plan.priority,
+            station=station,
+        )
+        self.bus.submit_order(order)
+        self.emit(
+            f"{plan.company}/mes",
+            "submit",
+            {"orderId": plan.order_id, "procedureId": plan.procedure_id},
+        )
+        self.drain_status()
+        company = self.config.company(plan.company)
+        for station_config in company.stations:
+            self.schedule(
+                self.clock.tick + 1,
+                f"{plan.company}/{station_config.station_id}",
+                partial(self._poll, plan.company, station_config.station_id),
             )
-            self.bus.submit_order(order)
-            self.emit(
-                f"{plan.company}/mes",
-                "submit",
-                {"orderId": plan.order_id, "procedureId": plan.procedure_id},
-            )
-            self.drain_status()
-            company = self.config.company(plan.company)
-            for station_config in company.stations:
-                self.schedule(
-                    self.clock.tick + 1,
-                    f"{plan.company}/{station_config.station_id}",
-                    self._poller(plan.company, station_config.station_id),
-                )
 
-        return handler
-
-    def _poller(self, company: str, station_id: str) -> Callable[[], None]:
-        def handler() -> None:
-            station = self.station_instance(company, station_id)
-            actor = f"{company}/{station_id}"
-            worklist = self.bus.poll_worklist(station)
-            for order in worklist:
-                if self._order_plan[order.order_id].company != company:
-                    continue
-                if self.bus.order_state(order.order_id) != OrderState.QUEUED:
-                    continue
-                try:
-                    self.bus.assign(order.order_id, station)
-                except (BusWrongState, UnknownStation):
-                    continue
-                self.emit(actor, "assign", {"orderId": order.order_id})
-                self.drain_status()
-                self.schedule(
-                    self.clock.tick + 1,
-                    actor,
-                    self._inspector(company, station_id, order.order_id),
-                    order_id=order.order_id,
-                )
-                break
-
-        return handler
-
-    def _inspector(
-        self, company: str, station_id: str, order_id: str
-    ) -> Callable[[], None]:
-        def handler() -> None:
-            actor = f"{company}/{station_id}"
-            station = self.station_instance(company, station_id)
-            order = self.bus.order(order_id)
-            procedure = self._procedure(order.procedure_id)
-            manifest = self.registry.resolve(station)
-            self.bus.publish_status(
-                StatusEvent(order_id, OrderState.IN_PROGRESS, self.clock.now_text())
-            )
-            self.emit(
-                actor,
-                "setup",
-                {
-                    "orderId": order_id,
-                    "procedureId": procedure.procedure_id,
-                    "method": procedure.method,
-                    "services": [d.service_name for d in manifest.body.service_descs],
-                },
-            )
-            self.drain_status()
-            uid = self.mint_uid()
-            seed_elements = order_to_archive_work(order)
-            rng = _derive_rng(self.config.seed, f"acquire:{order_id}")
-            obj = acquire(
-                procedure,
-                order.component_serial,
-                rng,
-                uid=uid,
-                order_id=order_id,
-                component_type=order.component_type,
-                device_id=station,
-                created_at=self.clock.now_text(),
-                calibration_due=format_tick(self.clock.tick + 365 * 86_400),
-                noise=self.config.noise,
-                metadata_seed=seed_elements,
-            )
-            self.emit(
-                actor,
-                "acquire",
-                {
-                    "orderId": order_id,
-                    "uid": uid,
-                    "rows": procedure.rows,
-                    "cols": procedure.cols,
-                },
-            )
-            stored_uid = self.archive.store(obj)
-            self._stored_uids.setdefault(order_id, []).append(stored_uid)
-            self.emit(actor, "store", {"orderId": order_id, "uid": stored_uid})
-            self.bus.publish_status(
-                StatusEvent(order_id, OrderState.DATA_ARCHIVED, self.clock.now_text())
-            )
-            self.drain_status()
-            indications = evaluate(
-                obj, procedure, self.config.noise.detection_floor
-            )
-            self._indications[order_id] = indications
-            self.emit(
-                actor,
-                "evaluate",
-                {
-                    "orderId": order_id,
-                    "indications": [
-                        {"row": i.row, "col": i.col, "amplitude": round(i.amplitude, 3)}
-                        for i in indications
-                    ],
-                },
-            )
-            if self.gateway_active:
-                self.schedule(
-                    self.clock.tick + 1,
-                    "gateway",
-                    self._translator(order_id),
-                    order_id=order_id,
-                )
-
-        return handler
-
-    def _translator(self, order_id: str) -> Callable[[], None]:
-        def handler() -> None:
-            order = self.bus.order(order_id)
-            procedure = self._procedure(order.procedure_id)
-            uids = tuple(self._stored_uids.get(order_id, ()))
-            rv = archive_result_to_kpis(
-                self.archive,
-                order_id,
-                self._indications.get(order_id, ()),
-                uids,
-                procedure,
-            )
-            self.emit(
-                "gateway",
-                "translate",
-                {
-                    "orderId": order_id,
-                    "verdict": rv.verdict.value,
-                    "indicationCount": rv.indication_count,
-                    "maxAmplitude": (
-                        round(rv.max_amplitude, 3)
-                        if rv.max_amplitude is not None
-                        else None
-                    ),
-                    "archivedRefs": list(rv.archived_refs),
-                },
-            )
-            fault = self.oversize_faults.get(order_id)
-            if fault is not None:
-                rv = replace(rv, extras={"notes": "N" * fault.size})
+    def _poll(self, company: str, station_id: str) -> None:
+        station = self._station_ids[(company, station_id)]
+        actor = f"{company}/{station_id}"
+        worklist = self.bus.poll_worklist(station)
+        for order in worklist:
+            if self._order_plan[order.order_id].company != company:
+                continue
+            if self.bus.order_state(order.order_id) != OrderState.QUEUED:
+                continue
             try:
-                self.bus.report_values(rv)
-            except OversizedPayload:
-                if fault is None:
-                    raise
-                # decide on the bytes that actually hit the channel, not the
-                # nominal fault size: encoding overhead can tip a payload over
-                decision = route(len(encode_message(rv)), WorkKind.WORKFLOW)
-                blob_uid = self.mint_uid()
-                blob = DataObject.from_values(
-                    {
-                        TAG_OBJECT_UID: blob_uid.encode("utf-8"),
-                        TAG_CREATED_AT: self.clock.now_text().encode("ascii"),
-                        TAG_METHOD_CODE: procedure.method.encode("utf-8"),
-                        TAG_COMPONENT_SERIAL: order.component_serial.encode("utf-8"),
-                        TAG_ORDER_ID: order_id.encode("utf-8"),
-                        TAG_BULK_PAYLOAD: rv.extras["notes"].encode("utf-8"),
-                    }
-                )
-                self.archive.store(blob)
-                self.emit(
-                    "gateway",
-                    "route",
-                    {
-                        "orderId": order_id,
-                        "decision": decision.value,
-                        "payloadRef": blob_uid,
-                        "payloadBytes": fault.size,
-                    },
-                )
-                rv = replace(rv, extras={"payloadRef": blob_uid})
-                self.bus.report_values(rv)
+                self.bus.assign(order.order_id, station)
+            except (BusWrongState, UnknownStation):
+                continue
+            self.emit(actor, "assign", {"orderId": order.order_id})
+            self.drain_status()
+            self.schedule(
+                self.clock.tick + 1,
+                actor,
+                partial(self._inspect, company, station_id, order.order_id),
+                order_id=order.order_id,
+            )
+            break
+
+    def _inspect(self, company: str, station_id: str, order_id: str) -> None:
+        actor = f"{company}/{station_id}"
+        station = self._station_ids[(company, station_id)]
+        order = self.bus.order(order_id)
+        procedure = self._procedure(order.procedure_id)
+        manifest = self.registry.resolve(station)
+        self._publish(order_id, OrderState.IN_PROGRESS)
+        self.emit(
+            actor,
+            "setup",
+            {
+                "orderId": order_id,
+                "procedureId": procedure.procedure_id,
+                "method": procedure.method,
+                "services": [d.service_name for d in manifest.body.service_descs],
+            },
+        )
+        self.drain_status()
+        uid = self.mint_uid()
+        seed_elements = order_to_archive_work(order)
+        rng = _derive_rng(self.config.seed, f"acquire:{order_id}")
+        obj = acquire(
+            procedure,
+            order.component_serial,
+            rng,
+            uid=uid,
+            order_id=order_id,
+            component_type=order.component_type,
+            device_id=station,
+            created_at=self.clock.now_text(),
+            calibration_due=format_tick(self.clock.tick + 365 * 86_400),
+            noise=self.config.noise,
+            metadata_seed=seed_elements,
+        )
+        self.emit(
+            actor,
+            "acquire",
+            {
+                "orderId": order_id,
+                "uid": uid,
+                "rows": procedure.rows,
+                "cols": procedure.cols,
+            },
+        )
+        stored_uid = self.archive.store(obj)
+        self._stored_uids.setdefault(order_id, []).append(stored_uid)
+        self.emit(actor, "store", {"orderId": order_id, "uid": stored_uid})
+        self._publish(order_id, OrderState.DATA_ARCHIVED)
+        self.drain_status()
+        indications = evaluate(obj, procedure, self.config.noise.detection_floor)
+        self._indications[order_id] = indications
+        self.emit(
+            actor,
+            "evaluate",
+            {
+                "orderId": order_id,
+                "indications": [
+                    {"row": i.row, "col": i.col, "amplitude": round(i.amplitude, 3)}
+                    for i in indications
+                ],
+            },
+        )
+        if self.gateway_active:
+            self.schedule(
+                self.clock.tick + 1,
+                "gateway",
+                partial(self._translate, order_id),
+                order_id=order_id,
+            )
+
+    def _translate(self, order_id: str) -> None:
+        order = self.bus.order(order_id)
+        procedure = self._procedure(order.procedure_id)
+        uids = tuple(self._stored_uids.get(order_id, ()))
+        rv = archive_result_to_kpis(
+            self.archive,
+            order_id,
+            self._indications.get(order_id, ()),
+            uids,
+            procedure,
+        )
+        self.emit(
+            "gateway",
+            "translate",
+            {
+                "orderId": order_id,
+                "verdict": rv.verdict.value,
+                "indicationCount": rv.indication_count,
+                "maxAmplitude": (
+                    round(rv.max_amplitude, 3) if rv.max_amplitude is not None else None
+                ),
+                "archivedRefs": list(rv.archived_refs),
+            },
+        )
+        fault = self.oversize_faults.get(order_id)
+        if fault is not None:
+            rv = replace(rv, extras={"notes": "N" * fault.size})
+        try:
+            self.bus.report_values(rv)
+        except OversizedPayload:
+            if fault is None:
+                raise
+            # decide on the bytes that actually hit the channel, not the
+            # nominal fault size: encoding overhead can tip a payload over
+            decision = route(len(encode_message(rv)), WorkKind.WORKFLOW)
+            blob_uid = self.mint_uid()
+            blob = DataObject.from_values(
+                {
+                    TAG_OBJECT_UID: blob_uid.encode("utf-8"),
+                    TAG_CREATED_AT: self.clock.now_text().encode("ascii"),
+                    TAG_METHOD_CODE: procedure.method.encode("utf-8"),
+                    TAG_COMPONENT_SERIAL: order.component_serial.encode("utf-8"),
+                    TAG_ORDER_ID: order_id.encode("utf-8"),
+                    TAG_BULK_PAYLOAD: rv.extras["notes"].encode("utf-8"),
+                }
+            )
+            self.archive.store(blob)
             self.emit(
                 "gateway",
-                "report",
-                {"orderId": order_id, "verdict": rv.verdict.value},
+                "route",
+                {
+                    "orderId": order_id,
+                    "decision": decision.value,
+                    "payloadRef": blob_uid,
+                    "payloadBytes": fault.size,
+                },
             )
-            self.drain_status()
-
-        return handler
+            rv = replace(rv, extras={"payloadRef": blob_uid})
+            self.bus.report_values(rv)
+        self.emit(
+            "gateway",
+            "report",
+            {"orderId": order_id, "verdict": rv.verdict.value},
+        )
+        self.drain_status()
 
     # --- reactions -----------------------------------------------------------------
 
@@ -1052,96 +1009,83 @@ class _Engine:
             self.schedule(
                 self.clock.tick + 1,
                 f"{plan.company}/mes",
-                self._component_registrar(order_id),
+                partial(self._register_component, order_id),
             )
         for exchange in self._exchanges_by_order.get(order_id, ()):
             if self.config.sovereignty:
                 self.schedule(
                     self.clock.tick + 2,
                     f"connector/{exchange.provider}",
-                    self._exchanger(exchange),
+                    partial(self._exchange, exchange),
                 )
             # with sovereignty disabled the exchange stays pending and the
             # drain check reports the deadlock
 
-    def _component_registrar(self, order_id: str) -> Callable[[], None]:
-        def handler() -> None:
-            plan = self._order_plan[order_id]
-            if plan.component_serial in self._registered_components:
-                return
-            self._registered_components.add(plan.component_serial)
-            component_type = parse_id(plan.component_type)
-            assert isinstance(component_type, TypeId)
-            instance = InstanceId(component_type, plan.component_serial)
-            refs = tuple(
-                DataRef(TAG_OBJECT_UID, uid)
-                for uid in self._stored_uids.get(order_id, ())
+    def _register_component(self, order_id: str) -> None:
+        plan = self._order_plan[order_id]
+        if plan.component_serial in self._registered_components:
+            return
+        self._registered_components.add(plan.component_serial)
+        component_type = parse_id(plan.component_type)
+        assert isinstance(component_type, TypeId)
+        refs = tuple(
+            DataRef(TAG_OBJECT_UID, uid) for uid in self._stored_uids.get(order_id, ())
+        )
+        try:
+            self._register(
+                f"{plan.company}/mes",
+                InstanceId(component_type, plan.component_serial),
+                plan.component_serial,
+                ManifestBody(data_refs=refs),
             )
+        except DuplicateInstance:
+            pass
+
+    def _exchange(self, exchange: ExchangePlan) -> None:
+        provider = self.connectors[exchange.provider]
+        consumer = self.connectors[exchange.consumer]
+        actor = f"connector/{exchange.provider}"
+        uids = self._stored_uids.get(exchange.order_id, ())
+        uid = uids[0]
+        contract_id = provider.offer(consumer.owner, uid, exchange.policy)
+        self.emit(
+            actor,
+            "offer",
+            {
+                "contractId": contract_id,
+                "uid": uid,
+                "consumer": exchange.consumer,
+                "maxReads": exchange.policy.max_reads,
+            },
+        )
+        consumer.accept(contract_id)
+        self.emit(
+            f"connector/{exchange.consumer}", "accept", {"contractId": contract_id}
+        )
+        attempts = exchange.attempts
+        if self.overread and exchange.policy.max_reads is not None:
+            attempts = max(attempts, exchange.policy.max_reads + 1)
+        self._consume_n(exchange.consumer, contract_id, attempts)
+        for forward in exchange.forwards:
+            third = self.connectors[forward.to]
             try:
-                self._register(
-                    f"{plan.company}/mes",
-                    Manifest(
-                        ManifestHeader(component_type, instance, plan.component_serial),
-                        ManifestBody(data_refs=refs),
-                    ),
-                )
-            except DuplicateInstance:
-                pass
-
-        return handler
-
-    def _exchanger(self, exchange: ExchangePlan) -> Callable[[], None]:
-        def handler() -> None:
-            provider = self.connectors[exchange.provider]
-            consumer = self.connectors[exchange.consumer]
-            actor = f"connector/{exchange.provider}"
-            uids = self._stored_uids.get(exchange.order_id, ())
-            uid = uids[0]
-            contract_id = provider.offer(consumer.owner, uid, exchange.policy)
-            self.emit(
-                actor,
-                "offer",
-                {
-                    "contractId": contract_id,
-                    "uid": uid,
-                    "consumer": exchange.consumer,
-                    "maxReads": exchange.policy.max_reads,
-                },
-            )
-            consumer.accept(contract_id)
-            self.emit(
-                f"connector/{exchange.consumer}", "accept", {"contractId": contract_id}
-            )
-            attempts = exchange.attempts
-            if self.overread and exchange.policy.max_reads is not None:
-                attempts = max(attempts, exchange.policy.max_reads + 1)
-            self._consume_n(exchange.consumer, contract_id, attempts)
-            for forward in exchange.forwards:
-                third = self.connectors[forward.to]
-                try:
-                    derived_id = consumer.forward(
-                        contract_id, third.owner, forward.policy
-                    )
-                except Nde4Error as exc:
-                    self.emit(
-                        f"connector/{exchange.consumer}",
-                        "deny",
-                        {"contractId": contract_id, "reason": type(exc).__name__},
-                    )
-                    continue
+                derived_id = consumer.forward(contract_id, third.owner, forward.policy)
+            except Nde4Error as exc:
                 self.emit(
                     f"connector/{exchange.consumer}",
-                    "forward",
-                    {"contractId": contract_id, "derived": derived_id, "to": forward.to},
+                    "deny",
+                    {"contractId": contract_id, "reason": type(exc).__name__},
                 )
-                third.accept(derived_id)
-                self.emit(
-                    f"connector/{forward.to}", "accept", {"contractId": derived_id}
-                )
-                self._consume_n(forward.to, derived_id, forward.attempts)
-            self._pending_exchanges -= 1
-
-        return handler
+                continue
+            self.emit(
+                f"connector/{exchange.consumer}",
+                "forward",
+                {"contractId": contract_id, "derived": derived_id, "to": forward.to},
+            )
+            third.accept(derived_id)
+            self.emit(f"connector/{forward.to}", "accept", {"contractId": derived_id})
+            self._consume_n(forward.to, derived_id, forward.attempts)
+        self._pending_exchanges -= 1
 
     def _consume_n(self, company: str, contract_id: str, attempts: int) -> None:
         connector = self.connectors[company]
@@ -1236,11 +1180,7 @@ class _Engine:
                     {"orderId": order_id, "error": type(exc).__name__, "detail": str(exc)},
                 )
                 if self.bus.order_state(order_id) not in TERMINAL_STATES:
-                    self.bus.publish_status(
-                        StatusEvent(
-                            order_id, OrderState.REJECTED, self.clock.now_text()
-                        )
-                    )
+                    self._publish(order_id, OrderState.REJECTED)
             self.drain_status()
         blocking: dict[str, str] = {}
         for order_id in self.bus.order_ids():

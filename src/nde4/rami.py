@@ -15,7 +15,7 @@ from itertools import product
 from typing import Iterable
 
 from .errors import Nde4Error
-from .semantics import is_id_token
+from .semantics import is_id_token, tsv_rows, tsv_text
 
 
 class Layer(Enum):
@@ -89,43 +89,28 @@ class ComponentLocus:
 
 
 def dump_loci_tsv(loci: Iterable[ComponentLocus]) -> str:
-    lines = []
-    for locus in loci:
-        for coordinate in sorted(locus.cells, key=RamiCoordinate.text):
-            lines.append(
-                "\t".join(
-                    (
-                        locus.component,
-                        coordinate.layer.value,
-                        coordinate.lifecycle.value,
-                        coordinate.hierarchy.value,
-                    )
-                )
-            )
-    return "\n".join(lines) + "\n"
+    return tsv_text(
+        (
+            locus.component,
+            coordinate.layer.value,
+            coordinate.lifecycle.value,
+            coordinate.hierarchy.value,
+        )
+        for locus in loci
+        for coordinate in sorted(locus.cells, key=RamiCoordinate.text)
+    )
 
 
 def load_loci_tsv(text: str) -> tuple[ComponentLocus, ...]:
     collected: dict[str, set[RamiCoordinate]] = {}
-    order: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise ValueError(f"loci line {lineno}: expected 4 columns")
-        component, layer_text, lifecycle_text, hierarchy_text = parts
+    for component, layer, lifecycle, hierarchy in tsv_rows(text, 4, "loci"):
         coordinate = RamiCoordinate(
-            Layer(layer_text), Lifecycle(lifecycle_text), Hierarchy(hierarchy_text)
+            Layer(layer), Lifecycle(lifecycle), Hierarchy(hierarchy)
         )
-        if component not in collected:
-            collected[component] = set()
-            order.append(component)
-        collected[component].add(coordinate)
+        collected.setdefault(component, set()).add(coordinate)
     return tuple(
-        ComponentLocus(component, frozenset(collected[component]))
-        for component in order
+        ComponentLocus(component, frozenset(coordinates))
+        for component, coordinates in collected.items()
     )
 
 

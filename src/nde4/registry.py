@@ -182,19 +182,18 @@ def validate_manifest(
 class Registry:
     """Mutations are serialized under one lock; reads see consistent snapshots."""
 
-    def __init__(self, dictionary: Dictionary = DICT_V1):
-        self._dictionary = dictionary
+    def __init__(self):
         self._shells: dict[InstanceId, Manifest] = {}
         self._order: list[InstanceId] = []
         self._lock = threading.Lock()
 
     def validate(self, manifest: Manifest) -> ValidationReport:
         with self._lock:
-            return validate_manifest(manifest, self._dictionary, self._shells)
+            return validate_manifest(manifest, DICT_V1, self._shells)
 
     def register_shell(self, manifest: Manifest) -> InstanceId:
         with self._lock:
-            report = validate_manifest(manifest, self._dictionary, self._shells)
+            report = validate_manifest(manifest, DICT_V1, self._shells)
             if any(f.severity == SEVERITY_ERROR for f in report.findings):
                 raise InvalidManifest(report)
             instance = manifest.header.asset_instance_id

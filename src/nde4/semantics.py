@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib.resources import files
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import Nde4Error
 from .timebase import DATETIME_LENGTH, BadDatetime, parse_datetime
@@ -421,45 +421,41 @@ def validate_object(dictionary: Dictionary, obj) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-# --- dictionary table file -------------------------------------------------
+# --- table files -------------------------------------------------------------
+# The shipped tables share one syntax (docs/FORMATS.md, "Table files"): one
+# row per line, fields separated by tabs, blank and "#" lines skipped.
 
-def dump_dictionary_tsv(dictionary: Dictionary) -> str:
-    """Render the versioned table file: code, name, value_rep, units, multiplicity."""
-    lines = []
-    for definition in dictionary.definitions:
-        lines.append(
-            "\t".join(
-                (
-                    definition.code.text(),
-                    definition.name,
-                    definition.value_rep.value,
-                    definition.units or "-",
-                    definition.multiplicity,
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def load_dictionary_tsv(text: str, version: int) -> Dictionary:
-    definitions = []
+def tsv_rows(text: str, columns: int, what: str) -> Iterator[list[str]]:
+    """The rows of a table file; a row without `columns` fields is refused."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"dictionary line {lineno}: expected 5 columns")
-        code_text, name, rep_text, units, multiplicity = parts
-        definitions.append(
-            TagDefinition(
-                TagCode.from_text(code_text),
-                name,
-                ValueRep(rep_text),
-                None if units == "-" else units,
-                multiplicity,
-            )
-        )
+        if len(parts) != columns:
+            raise ValueError(f"{what} line {lineno}: expected {columns} columns")
+        yield parts
+
+
+def tsv_text(rows: Iterable[Iterable[str]]) -> str:
+    """A table file holding `rows`; an empty table is one newline."""
+    return "\n".join("\t".join(row) for row in rows) + "\n"
+
+
+def dump_dictionary_tsv(dictionary: Dictionary) -> str:
+    """Render the versioned table file: code, name, value_rep, units, multiplicity."""
+    return tsv_text(
+        (d.code.text(), d.name, d.value_rep.value, d.units or "-", d.multiplicity)
+        for d in dictionary.definitions
+    )
+
+
+def load_dictionary_tsv(text: str, version: int) -> Dictionary:
+    definitions = []
+    for code, name, rep, units, multiplicity in tsv_rows(text, 5, "dictionary"):
+        units = None if units == "-" else units
+        code = TagCode.from_text(code)
+        definitions.append(TagDefinition(code, name, ValueRep(rep), units, multiplicity))
     return Dictionary(version, tuple(definitions))
 
 

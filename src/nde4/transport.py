@@ -36,10 +36,6 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def send_frame(sock: socket.socket, frame_bytes: bytes) -> None:
-    sock.sendall(frame_bytes)
-
-
 def recv_frame(sock: socket.socket) -> bytes:
     """Read exactly one frame; returns the raw bytes, header included.
 
@@ -65,7 +61,7 @@ class _FrameRequestHandler(socketserver.BaseRequestHandler):
                 response = self.server.frame_handler(frame)  # type: ignore[attr-defined]
             except Exception:
                 return  # handlers answer errors as frames; anything else drops the link
-            send_frame(self.request, response)
+            self.request.sendall(response)
 
 
 class _Server(socketserver.ThreadingTCPServer):
@@ -131,7 +127,7 @@ class FrameClient:
             if self._sock.fileno() == -1:  # closed
                 raise ConnectionClosed("client is closed (a request failed or close() ran)")
             try:
-                send_frame(self._sock, frame_bytes)
+                self._sock.sendall(frame_bytes)
                 return recv_frame(self._sock)
             except BaseException:
                 self.close()
