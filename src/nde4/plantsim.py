@@ -338,7 +338,7 @@ def load_scenario(text: str, seed_override: int | None = None) -> ScenarioConfig
     """Parse and validate a scenario document; raises ConfigInvalid."""
     try:
         document = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, a huge int, too deep
         raise ConfigInvalid(f"scenario not parseable: {exc}") from exc
     try:
         config = _SCENARIO(document)

@@ -186,8 +186,8 @@ _FORWARD_BODY = _SENDER_BODY + (
 )
 
 
-def _json_handler(make: Callable, rows: tuple) -> Callable[[bytes], bytes]:
-    """Request handler reading its JSON body through the key table `rows`."""
+def _json_body(make: Callable, rows: tuple) -> Callable[[bytes], object]:
+    """Reader of a JSON body through the key table `rows`."""
     build = json_table(make, rows)
     return lambda body: build(json_object(body))
 
@@ -228,16 +228,41 @@ _WIRE_ERRORS: dict[str, type] = {cls.__name__: cls for cls in (
     PolicyExpired, ForwardProhibited, UnknownUID,
 )}
 
+_OP_NAMES = {OP_OFFER: "OFFER", OP_ACCEPT: "ACCEPT", OP_CONSUME: "CONSUME",
+             OP_FORWARD: "FORWARD"}
 
-def _wire_failure(body: bytes) -> tuple[str, Nde4Error]:
-    """Decode an ERROR or DENY body: the audit detail "<code>: <detail>" and
-    the error to raise, of the class the code names (else Nde4Error)."""
-    try:
-        document = json_object(body)
-    except ValueError:
-        return "unreadable error body", Nde4Error("unreadable error body")
-    code, detail = document.get("code", ""), document.get("detail", "")
-    return f"{code}: {detail}", _WIRE_ERRORS.get(code, Nde4Error)(detail)
+# SOVEREIGN answers a client reads, one key table each (docs/FORMATS.md).
+# An ERROR or DENY body gives the audit detail "<code>: <detail>" and the
+# error to raise, of the class the code names (else Nde4Error).
+_FAILURE_BODY = _json_body(
+    lambda code, detail: (f"{code}: {detail}", _WIRE_ERRORS.get(code, Nde4Error)(detail)),
+    (("code", "code", str), ("detail", "detail", str)),
+)
+_DATA_HEADER = _json_body(lambda contract_id, exhausted: exhausted, (
+    ("contract_id", "contractId", str),
+    ("exhausted", "exhausted", bool),
+))
+_FORWARD_GRANT = _json_body(
+    lambda contract_id, object_uid, origin, policy: (object_uid, origin, policy),
+    (
+        ("contract_id", "contractId", str),
+        ("object_uid", "objectUid", str),
+        ("origin", "origin", str),
+        ("policy", "policy", policy_from_wire),
+    ),
+)
+
+
+def _read_data(body: bytes) -> tuple[bytes, DataObject, bool]:
+    """(object bytes, decoded object, exhausted) of a DATA answer's body."""
+    if len(body) < 4:
+        raise ValueError(f"DATA body of {len(body)} bytes has no header length")
+    (length,) = struct.unpack_from("<I", body)
+    if 4 + length > len(body):
+        raise ValueError(f"DATA header length {length} exceeds the body")
+    exhausted = _DATA_HEADER(body[4 : 4 + length])
+    object_bytes = body[4 + length :]
+    return object_bytes, decode_object(object_bytes), exhausted
 
 
 class Connector:
@@ -272,10 +297,10 @@ class Connector:
         # trip so the audit trail reflects causal order, not thread scheduling
         self._consume_serial: dict[str, threading.Lock] = {}
         self._handlers = {
-            OP_OFFER: _json_handler(self._handle_offer, _OFFER_BODY),
-            OP_ACCEPT: _json_handler(self._handle_accept, _SENDER_BODY),
-            OP_CONSUME: _json_handler(self._handle_consume, _SENDER_BODY),
-            OP_FORWARD: _json_handler(self._handle_forward, _FORWARD_BODY),
+            OP_OFFER: _json_body(self._handle_offer, _OFFER_BODY),
+            OP_ACCEPT: _json_body(self._handle_accept, _SENDER_BODY),
+            OP_CONSUME: _json_body(self._handle_consume, _SENDER_BODY),
+            OP_FORWARD: _json_body(self._handle_forward, _FORWARD_BODY),
         }
         self._audit_path: Path | None = None
         if audit_dir is not None:
@@ -295,15 +320,37 @@ class Connector:
             raise WrongConsumer(f"no linked connector for {owner_key}")
         return peer
 
-    def _send(self, peer: "Connector", opcode: int, body: bytes) -> tuple[int, bytes]:
+    def _call(self, peer: "Connector", opcode: int, body: bytes, answer: int,
+              read: Callable[[bytes], object] = bytes, deny: str | None = None):
+        """Send one request; `read` of the body of its `answer`. An ERROR or
+        DENY raises the error its body names. Another opcode, or a body that
+        `read` refuses with ValueError, raises Nde4Error "unreadable <op>
+        response"; an Nde4Error of `read` or of the frame propagates. With
+        `deny`, a contract id, each failure is first audited as its DENY."""
         request = encode_frame(Channel.SOVEREIGN, bytes([opcode]) + body)
         for tap_fn in list(self._taps):
             tap_fn(request)
         response = peer.handle(request)
         for tap_fn in list(self._taps):
             tap_fn(response)
-        payload = decode_frame(response).payload
-        return payload[0], payload[1:]
+        try:
+            payload = decode_frame(response).payload
+            if not payload:
+                raise ValueError("empty payload")
+            if payload[0] in (OP_ERROR, OP_DENY):
+                detail, error = _FAILURE_BODY(payload[1:])
+            elif payload[0] != answer:
+                raise ValueError(f"opcode {payload[0]:#x}, expected {answer:#x}")
+            else:
+                return read(payload[1:])
+        except ValueError as exc:
+            error = Nde4Error(f"unreadable {_OP_NAMES[opcode]} response: {exc}")
+            detail = f"Nde4Error: {error}"
+        except Nde4Error as exc:
+            detail, error = f"{type(exc).__name__}: {exc}", exc
+        if deny is not None:
+            self._audit_event(DENY, deny, detail)
+        raise error
 
     def _audit_event(self, action: str, contract_id: str, detail: str = "") -> None:
         with self._lock:
@@ -370,9 +417,7 @@ class Connector:
                 "policy": _policy_to_wire(policy),
             }
         )
-        opcode, response = self._send(peer, OP_OFFER, body)
-        if opcode == OP_ERROR:
-            raise _wire_failure(response)[1]
+        self._call(peer, OP_OFFER, body, OP_OFFER)
         return contract_id
 
     def revoke(self, contract_id: str) -> None:
@@ -401,28 +446,21 @@ class Connector:
     def accept(self, contract_id: str) -> None:
         peer = self._provider_peer(contract_id)
         body = canonical_json({"contractId": contract_id, "from": str(self.owner)})
-        opcode, response = self._send(peer, OP_ACCEPT, body)
-        if opcode == OP_ERROR:
-            raise _wire_failure(response)[1]
+        self._call(peer, OP_ACCEPT, body, OP_ACCEPT)
         self._audit_event(ACCEPT, contract_id)
 
     def consume(self, contract_id: str) -> DataObject:
         peer = self._provider_peer(contract_id)
         with self._serial_for(contract_id):
             body = canonical_json({"contractId": contract_id, "from": str(self.owner)})
-            opcode, response = self._send(peer, OP_CONSUME, body)
-            if opcode != OP_DATA:
-                detail, error = _wire_failure(response)
-                self._audit_event(DENY, contract_id, detail)
-                raise error
-            (header_length,) = struct.unpack_from("<I", response, 0)
-            header = json_object(response[4 : 4 + header_length])
-            object_bytes = response[4 + header_length :]
+            # the bytes are cached only once they decode
+            object_bytes, obj, exhausted = self._call(
+                peer, OP_CONSUME, body, OP_DATA, _read_data, deny=contract_id
+            )
             with self._lock:
                 self._cache[contract_id] = object_bytes
                 self._audit_event(READ, contract_id, f"{len(object_bytes)} bytes")
-                obj = decode_object(object_bytes)
-                if header.get("exhausted"):
+                if exhausted:
                     del self._cache[contract_id]
                     self._audit_event(DELETE, contract_id, "cache erased on exhaustion")
         return obj
@@ -447,17 +485,11 @@ class Connector:
                 ),
             }
         )
-        opcode, response = self._send(peer, OP_FORWARD, body)
-        if opcode in (OP_DENY, OP_ERROR):
-            detail, error = _wire_failure(response)
-            self._audit_event(DENY, contract_id, detail)
-            raise error
-        grant = json_object(response)
-        granted_policy = policy_from_wire(grant["policy"])
+        object_uid, origin, policy = self._call(
+            peer, OP_FORWARD, body, OP_FORWARD, _FORWARD_GRANT, deny=contract_id
+        )
         with self._lock:
-            return self._offer_locked(
-                third_party, grant["objectUid"], granted_policy, grant["origin"]
-            )
+            return self._offer_locked(third_party, object_uid, policy, origin)
 
     def cached(self, contract_id: str) -> bool:
         with self._lock:

@@ -5,6 +5,7 @@ import struct
 import pytest
 
 from nde4.archive import Archive, DataObject
+from nde4.framing import Channel, canonical_json, decode_frame, encode_frame
 from nde4.identity import InstanceId, TypeId
 from nde4.registry import Manifest, ManifestBody, ManifestHeader, ServiceDesc
 from nde4.semantics import (
@@ -20,6 +21,7 @@ from nde4.semantics import (
     TAG_ORDER_ID,
     TAG_PROCEDURE_ID,
 )
+from nde4.sovereignty import OP_OFFER
 from nde4.timebase import LogicalClock
 
 
@@ -82,3 +84,29 @@ def station_manifest(
             )
         ),
     )
+
+
+class StubPeer:
+    """A peer connector that answers each SOVEREIGN request opcode with the
+    payload set in `answers`: a provider whose answers a test chooses."""
+
+    def __init__(self, owner: InstanceId):
+        self.owner = owner
+        self._peers: dict = {}  # Connector.link registers the other side here
+        self.answers: dict[int, bytes] = {}
+
+    def handle(self, frame_bytes: bytes) -> bytes:
+        opcode = decode_frame(frame_bytes).payload[0]
+        return encode_frame(Channel.SOVEREIGN, self.answers[opcode])
+
+    def offer(self, connector, contract_id: str, object_uid: str = "obj-1") -> str:
+        """Have `connector` mirror a contract of this peer's, as on an OFFER."""
+        body = canonical_json({
+            "contractId": contract_id,
+            "provider": str(self.owner),
+            "consumer": str(connector.owner),
+            "objectUid": object_uid,
+            "policy": {},
+        })
+        assert connector.request(bytes([OP_OFFER]) + body)[0] == OP_OFFER
+        return contract_id

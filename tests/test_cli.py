@@ -107,8 +107,10 @@ def test_sim_run_missing_file_is_runtime_error(tmp_path, capsys):
         ("{not json", "not parseable"),
         ('{"noise": 5}', "malformed"),
         ('{"sovereignty": "false"}', "sovereignty: expected bool, got str"),
+        ('{"seed": ' + "7" * 5000 + "}", "not parseable"),
+        ("[" * 100_000, "not parseable"),
     ],
-    ids=["not-json", "wrong-shape", "wrong-type"],
+    ids=["not-json", "wrong-shape", "wrong-type", "huge-int", "too-deep"],
 )
 def test_sim_run_malformed_scenario_is_runtime_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.scen"

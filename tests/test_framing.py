@@ -185,3 +185,39 @@ def test_no_source_catches_key_error():
             ):
                 catches.append(f"{path.name}:{node.lineno}")
     assert catches == []
+
+
+def test_no_source_writes_unread_state():
+    # state an object keeps must be read by something: every self.<name> that
+    # src/nde4 writes, by assignment or subscript store, is read as .<name>
+    # somewhere in src/, tests/ or perfbench/
+    def self_attribute(node):
+        return (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "self")
+
+    package = Path(nde4.__file__).parent
+    root = package.parents[1]
+    writes = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                target = node
+            elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                target = node.value
+            else:
+                continue
+            if self_attribute(target):
+                writes.append((target.attr, f"{path.name}:{node.lineno}"))
+    reads = set()
+    for directory in ("src", "tests", "perfbench"):
+        for path in sorted((root / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text("utf-8"))
+            # `self.x[k] = v` loads self.x only to store into it
+            stored_into = {id(node.value) for node in ast.walk(tree)
+                           if isinstance(node, ast.Subscript)
+                           and isinstance(node.ctx, ast.Store)}
+            reads.update(node.attr for node in ast.walk(tree)
+                         if isinstance(node, ast.Attribute)
+                         and isinstance(node.ctx, ast.Load)
+                         and id(node) not in stored_into)
+    assert [where for name, where in writes if name not in reads] == []

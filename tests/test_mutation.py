@@ -12,6 +12,10 @@ value, and every field holds its annotated type.
 Wire rule: `ArchiveWire.request` and `Connector.request` answer every
 mutated body with a payload and never raise; an ERROR or DENY code is
 `MalformedRequest` or the name of an `Nde4Error`.
+
+Client rule: whatever a peer answers, `Connector.offer`, `accept`, `consume`
+and `forward` return or raise an `Nde4Error`; a failed consume caches no
+bytes and audits a DENY.
 """
 
 from __future__ import annotations
@@ -20,13 +24,14 @@ import copy
 import dataclasses
 import json
 import random
+import struct
 import types
 import typing
 from pathlib import Path
 
 import pytest
 
-from conftest import make_object, station_id, station_manifest
+from conftest import StubPeer, make_object, station_id, station_manifest
 from nde4.archive import (
     OP_FETCH,
     OP_QUERY,
@@ -48,6 +53,7 @@ from nde4.framing import (
     canonical_json,
     decode_frame,
     encode_frame,
+    error_payload,
 )
 from nde4.identity import TypeId
 from nde4.messages import (
@@ -75,7 +81,13 @@ from nde4.registry import (
 )
 from nde4.semantics import TagCode
 from nde4.sovereignty import (
+    DENY,
+    OP_ACCEPT,
+    OP_CONSUME,
+    OP_DATA,
     OP_DENY,
+    OP_FORWARD,
+    OP_OFFER,
     Connector,
     UsagePolicy,
     _policy_to_wire,
@@ -463,3 +475,76 @@ def test_sovereign_wire_mutants(tmp_path, clock):
     ]
     answered = check_wire(provider.request, payloads) | check_wire(consumer.request, payloads)
     assert "MalformedRequest" in answered
+
+
+# --- the client rule ---------------------------------------------------------------
+
+def _data(header: bytes, object_bytes: bytes) -> bytes:
+    """A DATA answer: opcode, header length, header JSON, object bytes."""
+    return bytes([OP_DATA]) + struct.pack("<I", len(header)) + header + object_bytes
+
+
+def test_client_reads_mutated_answers(tmp_path, clock):
+    rng = random.Random(1710)
+    archive = Archive(tmp_path / "data", clock)
+    archive.store(make_object(uid="obj-1"))
+    client = Connector("forge", station_id("forge"), clock, archive=archive)
+    peer = StubPeer(station_id("steel"))
+    client.link(peer)
+    object_bytes = encode_object(make_object(uid="obj-1"))
+    header = canonical_json({"contractId": "ctr-1", "exhausted": False})
+    bodies = {
+        OP_OFFER: {"contractId": "ctr-1"},
+        OP_ACCEPT: {"contractId": "ctr-1", "state": "ACTIVE"},
+        OP_FORWARD: {"contractId": "ctr-1", "objectUid": "obj-1",
+                     "origin": str(peer.owner), "policy": {"maxReads": 1}},
+    }
+    valid = {op: bytes([op]) + canonical_json(body) for op, body in bodies.items()}
+    valid[OP_CONSUME] = _data(header, object_bytes)
+    calls = {
+        OP_OFFER: lambda cid: client.offer(peer.owner, "obj-1", UsagePolicy()),
+        OP_ACCEPT: client.accept,
+        OP_CONSUME: client.consume,
+        OP_FORWARD: lambda cid: client.forward(cid, peer.owner),
+    }
+    refusals = [error_payload("WrongState", "ctr-1"),
+                error_payload("ForwardProhibited", "ctr-1", OP_DENY)]
+    # answers each call must refuse: no key, a code of the wrong type, no
+    # header length, a header that is not JSON, no payload, another opcode,
+    # and a view-once read of bytes that do not decode
+    unreadable = {
+        OP_FORWARD: [bytes([OP_FORWARD]) + b"{}"],
+        OP_ACCEPT: [bytes([OP_ERROR]) + b'{"code":[1]}', valid[OP_OFFER]],
+        OP_CONSUME: [bytes([OP_DATA, 1, 0]), bytes([OP_DATA, 1, 0, 0, 0]) + b"x",
+                     _data(b'{"contractId":"ctr-1","exhausted":true}', b"junk")],
+        OP_OFFER: [b"", valid[OP_CONSUME]],
+    }
+    answers = {op: [payload] + byte_mutants(rng, payload, 60) for op, payload in valid.items()}
+    for op, body in bodies.items():
+        answers[op] += [bytes([op]) + m for m in document_mutants(rng, canonical_json(body), 40)]
+    answers[OP_CONSUME] += [
+        _data(m, object_bytes) for m in document_mutants(rng, header, 40)
+    ]
+    for op in calls:
+        answers[op] += refusals + [
+            payload[:1] + m for payload in refusals
+            for m in document_mutants(rng, payload[1:], 20)
+        ]
+    outcomes = {"returned": 0, "raised": 0}
+    for op, call in calls.items():
+        for payload in answers[op] + unreadable[op]:
+            peer.answers = {**valid, op: payload}
+            contract_id = peer.offer(client, f"ctr-{rng.getrandbits(64)}")
+            try:
+                call(contract_id)
+            except Nde4Error:
+                outcomes["raised"] += 1
+                if op == OP_CONSUME:
+                    assert not client.cached(contract_id), payload
+                    assert client.audit_events(contract_id)[-1].action == DENY, payload
+                continue
+            except Exception as exc:  # reported with the answer that raised it
+                pytest.fail(f"{op:#x} answered {payload!r} raised {type(exc).__name__}: {exc}")
+            assert payload not in unreadable[op], (op, payload)
+            outcomes["returned"] += 1
+    assert outcomes["returned"] and outcomes["raised"]

@@ -388,6 +388,9 @@ def test_load_scenario_names_the_path(text, message):
         '{"companies": [], "exchanges": [{"provider": "a", "consumer": "b",'
         ' "orderId": "ORD-1", "policy": 5}]}',
         *(text for text, _ in WRONG_TYPES),
+        # beyond the int parser's digit limit, and beyond the recursion limit
+        pytest.param('{"seed": ' + "7" * 5000 + "}", id="huge-int"),
+        pytest.param("[" * 100_000, id="too-deep"),
     ],
 )
 def test_load_scenario_rejects_malformed(text):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import re
 from importlib import resources
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -175,3 +177,16 @@ def test_named_loci_come_from_the_packaged_file():
     for component, locus in named.items():
         assert locus.component == component
         assert locus in DEFAULT_LOCI
+
+
+def test_cells_quoted_in_the_docs_parse():
+    root = Path(__file__).resolve().parent.parent
+    quoted = [
+        (name, cell)
+        for name in ("docs/FORMATS.md", "README.md")
+        for cell in re.findall(r"\b[A-Z_]+/[A-Z_]+/[A-Z_]+\b", (root / name).read_text("utf-8"))
+        if cell != "LAYER/LIFECYCLE/HIERARCHY"
+    ]
+    assert quoted
+    for name, cell in quoted:
+        assert RamiCoordinate.from_text(cell).text() == cell, name

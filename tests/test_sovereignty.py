@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_object
-from nde4.archive import Archive, UnknownUID
+from conftest import StubPeer, make_object
+from nde4.archive import Archive, BadPreamble, UnknownUID
 from nde4.errors import Nde4Error
 from nde4.framing import Channel, decode_frame, encode_frame
 from nde4.identity import InstanceId, TypeId
@@ -22,6 +22,7 @@ from nde4.sovereignty import (
     OFFERED,
     OP_ACCEPT,
     OP_CONSUME,
+    OP_DATA,
     OP_ERROR,
     OP_FORWARD,
     OP_OFFER,
@@ -165,6 +166,23 @@ def test_view_once_under_contention(pair):
     assert outcomes.count("ok") == 1
     assert outcomes.count("deny") == 7
     assert consumer.cache_size() == 0
+
+
+def test_failed_view_once_read_leaves_no_bytes(clock):
+    # the provider's last read of a view-once contract carries bytes that do
+    # not decode: nothing is cached, and the consumer audits the refusal
+    consumer = Connector("forge", FORGE, clock)
+    peer = StubPeer(STEEL)
+    consumer.link(peer)
+    cid = peer.offer(consumer, "ctr-1")
+    header = b'{"contractId":"ctr-1","exhausted":true}'
+    length = len(header).to_bytes(4, "little")
+    peer.answers[OP_CONSUME] = bytes([OP_DATA]) + length + header + b"junk"
+    with pytest.raises(BadPreamble):
+        consumer.consume(cid)
+    assert not consumer.cached(cid)
+    events = [(e.action, e.detail) for e in consumer.audit_events(cid)]
+    assert events == [(DENY, "BadPreamble: expected b'NDEO' preamble")]
 
 
 def test_consume_guards(pair):
