@@ -791,7 +791,7 @@ class _Engine:
         body: ManifestBody = ManifestBody(),
     ) -> None:
         manifest = Manifest(ManifestHeader(instance.type_id, instance, display_name), body)
-        instance = self.registry.register_shell(manifest)
+        self.registry.register_shell(manifest)
         report = self.registry.validate(manifest)
         self.emit(
             actor,

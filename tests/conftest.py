@@ -99,13 +99,13 @@ class StubPeer:
         opcode = decode_frame(frame_bytes).payload[0]
         return encode_frame(Channel.SOVEREIGN, self.answers[opcode])
 
-    def offer(self, connector, contract_id: str, object_uid: str = "obj-1") -> str:
+    def offer(self, connector, contract_id: str) -> str:
         """Have `connector` mirror a contract of this peer's, as on an OFFER."""
         body = canonical_json({
             "contractId": contract_id,
             "provider": str(self.owner),
             "consumer": str(connector.owner),
-            "objectUid": object_uid,
+            "objectUid": "obj-1",
             "policy": {},
         })
         assert connector.request(bytes([OP_OFFER]) + body)[0] == OP_OFFER
