@@ -6,18 +6,23 @@ element (u16 LE), length (u32 LE), value bytes. Canonical form orders
 elements strictly ascending by (group, element); decode rejects anything
 else, so there is exactly one byte form per object.
 
-Persistence is one file per object ("<uid>.ndeo") plus an append-only
-"chain.log". Each chain record links to its predecessor by digest, so any
-post-hoc edit of an object file or a chain line is detectable, and the
-first tampered index is identifiable. There is no delete operation on the
-public surface, by design.
+Persistence is one append-only segment file ("objects.seg") of records,
+each a u32 LE length and an object's encode bytes, plus an append-only
+"chain.log" whose line k belongs to record k. Each chain line links to its
+predecessor by digest, so any post-hoc edit of a record or a chain line is
+detectable, and the first tampered index is identifiable. Segment bytes
+past the last chained record are what a store left that died before its
+chain line; reads ignore them, verify_chain reports them, and the next
+store cuts them off. There is no delete operation on the public surface,
+by design.
 
-Queries are answered from an in-memory index of each committed object's
-order id, component serial and method. Cost model: opening a store reads
-only "chain.log"; the first query after an open builds the index by reading
-each object file once and walking only its element headers (every decode
-check runs, but no element is built; only the three key values are
-decoded); later stores add to the index and later queries read no file.
+Cost model: opening a store reads only "chain.log". The first fetch,
+query or store after an open reads the segment once, in order, to find
+each record's (offset, length); the first query builds the index of each
+object's order id, component serial and method in that same read, walking
+only element headers and decoding only the three key values. Later
+fetches read one record each, later stores append one record and extend
+the index, and later queries read nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ import hashlib
 import os
 import struct
 import threading
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,12 +54,13 @@ from .timebase import LogicalClock
 PREAMBLE = b"NDEO"
 OBJECT_VERSION = 0x01
 CHAIN_FILE = "chain.log"
-OBJECT_SUFFIX = ".ndeo"
+SEGMENT_FILE = "objects.seg"
 DATA_DIR_ENV = "NDE4_DATA_DIR"
 DATA_DIR_DEFAULT = "./nde4-data"
 ZERO_DIGEST = bytes(32)
 _ELEMENT_HEADER = struct.Struct("<HHI")  # group, element, value length
-READ_SIZE = 1 << 16  # bytes per os.read in read_file
+_RECORD_HEADER = struct.Struct("<I")  # segment record: object bytes length
+READ_SIZE = 1 << 16  # bytes per os.read in _segment_records
 
 # archive-channel opcodes (1-byte prefix on channel-2 frame payloads)
 OP_STORE = 0x01
@@ -83,7 +91,7 @@ class UnknownUID(Nde4Error):
 
 
 class UnreadableObject(Nde4Error):
-    """The file of a committed object is missing or cannot be read."""
+    """A committed object's record is missing or cannot be read."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,6 +267,8 @@ def parse_chain_line(line: str) -> ChainRecord:
     index_text, uid, object_hex, prev_hex, stored_at, self_hex = parts
     if not index_text.isdigit():
         raise ValueError(f"bad index: {index_text!r}")
+    if not is_id_token(uid):
+        raise ValueError(f"bad uid: {uid!r}")
     record = ChainRecord(
         int(index_text), uid, bytes.fromhex(object_hex), bytes.fromhex(prev_hex),
         stored_at,
@@ -286,31 +296,63 @@ def data_dir() -> Path:
     return Path(os.environ.get(DATA_DIR_ENV, DATA_DIR_DEFAULT))
 
 
+def _write_all(fd: int, data: bytes) -> None:
+    written = os.write(fd, data)
+    while written < len(data):  # a short write only when the disk fills
+        written += os.write(fd, data[written:])
+
+
 def append_line(path: Path, line: bytes) -> None:
     """Append one line and its "\n" to a log file (chain.log, an audit log)
     in one write; the file is opened and closed around it, so no handle
     outlives the call."""
-    data = line + b"\n"
     fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        written = os.write(fd, data)
-        while written < len(data):  # a short write only when the disk fills
-            written += os.write(fd, data[written:])
+        _write_all(fd, line + b"\n")
     finally:
         os.close(fd)
 
 
-def read_file(path: Path) -> bytes:
-    """All bytes of a file (an object file), read with os.read until EOF;
-    the read-side sibling of append_line, with no file object per read."""
-    fd = os.open(path, os.O_RDONLY)
+def _chain_lines(path: Path) -> list[bytes]:
+    """The lines of a chain.log, undecoded: each is decoded on its own, so
+    a corrupt byte becomes a bad line, not a crash."""
+    raw = path.read_bytes() if path.exists() else b""
+    if raw.endswith(b"\n"):
+        raw = raw[:-1]
+    return raw.split(b"\n") if raw else []
+
+
+def _segment_records(path: Path) -> Iterator[tuple[int, bytes | None]]:
+    """Each record of a segment file, in order, as (offset of its object
+    bytes, object bytes), from one sequential read in READ_SIZE chunks.
+    Bytes after the last whole record come last, as (their offset, None);
+    a length that runs past the end of the file ends the records there,
+    so no more than one record is ever held. A missing file holds none."""
     try:
-        chunks = []
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return
+    try:
+        size = os.fstat(fd).st_size
+        header = _RECORD_HEADER.size
+        buffer = bytearray()
+        start = 0  # segment offset of buffer[0]
         while chunk := os.read(fd, READ_SIZE):
-            chunks.append(chunk)
+            buffer += chunk
+            while len(buffer) >= header:
+                end = header + _RECORD_HEADER.unpack_from(buffer)[0]
+                if start + end > size:
+                    yield start, None
+                    return
+                if end > len(buffer):
+                    break
+                yield start + header, bytes(buffer[header:end])
+                del buffer[:end]
+                start += end
+        if buffer:
+            yield start, None
     finally:
         os.close(fd)
-    return b"".join(chunks)
 
 
 class _QueryIndex:
@@ -350,9 +392,15 @@ class Archive:
     ):
         self._dir = Path(directory) if directory is not None else data_dir()
         self._dir.mkdir(parents=True, exist_ok=True)
+        self._segment = self._dir / SEGMENT_FILE
         self._clock = clock if clock is not None else LogicalClock()
         self._lock = threading.Lock()
         self._uids: dict[str, None] = {}  # store order; O(1) membership
+        self._chain_damaged = False  # chain.log holds a line past the last parsed one
+        # uid -> (offset, length) of its object bytes in the segment, and the
+        # offset past the last chained record: found by the first read
+        self._spans: dict[str, tuple[int, int]] | None = None
+        self._end = 0
         self._index: _QueryIndex | None = None  # built by the first query
         self._last_digest = ZERO_DIGEST
         self._reload()
@@ -364,31 +412,65 @@ class Archive:
     def _chain_path(self) -> Path:
         return self._dir / CHAIN_FILE
 
-    def _object_path(self, uid: str) -> Path:
-        return self._dir / f"{uid}{OBJECT_SUFFIX}"
-
-    def _read_object(self, uid: str) -> bytes:
-        try:
-            return read_file(self._object_path(uid))
-        except OSError as exc:
-            raise UnreadableObject(f"{uid}: {exc.strerror or exc}") from exc
-
     def _reload(self) -> None:
-        """Rebuild the uid list from chain.log (store order); the query
-        index waits for the first query."""
-        self._uids = {}
-        self._index = None
-        self._last_digest = ZERO_DIGEST
-        chain_path = self._chain_path()
-        if not chain_path.exists():
-            return
-        for line in chain_path.read_text("utf-8").splitlines():
+        """Rebuild the uid list from chain.log (store order); record spans
+        and the query index wait for the first read."""
+        for line in _chain_lines(self._chain_path()):
             try:
-                record = parse_chain_line(line)
-            except ValueError:
+                record = parse_chain_line(line.decode("utf-8"))
+            except ValueError:  # UnicodeDecodeError included
+                self._chain_damaged = True
                 break  # verify_chain reports the damage; index stops here
             self._uids[record.object_uid] = None
             self._last_digest = digest(record.canonical_bytes())
+
+    def _scan(self, keys: bool) -> None:
+        """One sequential read of the segment's chained records; the caller
+        holds the lock. Finds each record's span, and with `keys` builds
+        the query index, which fails if the segment does not hold every
+        chained record."""
+        spans: dict[str, tuple[int, int]] = {}
+        index = _QueryIndex()
+        end = 0
+        with closing(_segment_records(self._segment)) as records:
+            for uid, (offset, data) in zip(self._uids, records):
+                if data is None:
+                    break
+                spans[uid] = (offset, len(data))
+                end = offset + len(data)
+                if keys:
+                    index.add(uid, _query_keys(data))
+        self._spans, self._end = spans, end
+        if keys:
+            if len(spans) < len(self._uids):
+                raise _unheld(list(self._uids)[len(spans)])
+            self._index = index
+
+    def object_span(self, uid: str) -> tuple[int, int]:
+        """(offset, length) of a committed object's bytes in the segment."""
+        with self._lock:
+            if uid not in self._uids:
+                raise UnknownUID(uid)
+            if self._spans is None:
+                self._scan(keys=False)
+            span = self._spans.get(uid)
+        if span is None:
+            raise _unheld(uid)
+        return span
+
+    def _read_object(self, uid: str) -> bytes:
+        offset, length = self.object_span(uid)
+        try:
+            fd = os.open(self._segment, os.O_RDONLY)
+            try:
+                data = os.pread(fd, length, offset)
+            finally:
+                os.close(fd)
+        except OSError as exc:
+            raise UnreadableObject(f"{uid}: {exc.strerror or exc}") from exc
+        if len(data) < length:
+            raise UnreadableObject(f"{uid}: record cut short at byte {offset + len(data)}")
+        return data
 
     def store(self, obj: DataObject) -> str:
         report = validate_object(DICT_V1, obj)
@@ -400,9 +482,14 @@ class Archive:
             raise ValidationFailed(f"object UID not a valid id token: {uid!r}")
         encoded = encode_object(obj)
         with self._lock:
-            path = self._object_path(uid)
-            if uid in self._uids or path.exists():
+            if uid in self._uids:
                 raise DuplicateUID(uid)
+            if self._spans is None:
+                self._scan(keys=False)
+            if self._chain_damaged or len(self._spans) < len(self._uids):
+                raise UnreadableObject(
+                    "chained records cannot be read; nothing is appended after them"
+                )
             record = ChainRecord(
                 index=len(self._uids),
                 object_uid=uid,
@@ -410,14 +497,12 @@ class Archive:
                 prev_digest=self._last_digest,
                 stored_at=self._clock.now_text(),
             )
-            temp = path.with_suffix(".tmp")
-            temp.write_bytes(encoded)
-            try:
-                append_line(self._chain_path(), record.line().encode("utf-8"))
-            except OSError:
-                temp.unlink(missing_ok=True)
-                raise
-            temp.rename(path)
+            self._append(
+                _RECORD_HEADER.pack(len(encoded)) + encoded,
+                record.line().encode("utf-8"),
+            )
+            self._spans[uid] = (self._end + _RECORD_HEADER.size, len(encoded))
+            self._end += _RECORD_HEADER.size + len(encoded)
             self._uids[uid] = None
             if self._index is not None:
                 self._index.add(
@@ -426,18 +511,27 @@ class Archive:
             self._last_digest = digest(record.canonical_bytes())
         return uid
 
+    def _append(self, record: bytes, line: bytes) -> None:
+        """Append a segment record after the last chained one, then its
+        chain line; the caller holds the lock. Bytes past the last chained
+        record, which a store that died before its chain line left, are
+        cut off first; a failed write or chain append cuts the segment
+        back, so no record outlives a store that raised."""
+        fd = os.open(self._segment, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            os.ftruncate(fd, self._end)
+            _write_all(fd, record)
+            append_line(self._chain_path(), line)
+        except OSError:
+            os.ftruncate(fd, self._end)
+            raise
+        finally:
+            os.close(fd)
+
     def fetch(self, uid: str) -> DataObject:
-        with self._lock:
-            known = uid in self._uids
-        if not known:
-            raise UnknownUID(uid)
         return decode_object(self._read_object(uid))
 
     def fetch_bytes(self, uid: str) -> bytes:
-        with self._lock:
-            known = uid in self._uids
-        if not known:
-            raise UnknownUID(uid)
         return self._read_object(uid)
 
     def has(self, uid: str) -> bool:
@@ -460,48 +554,40 @@ class Archive:
             if criteria == (None, None, None):
                 return tuple(self._uids)
             if self._index is None:
-                index = _QueryIndex()
-                for uid in self._uids:
-                    index.add(uid, _query_keys(self._read_object(uid)))
-                self._index = index
+                self._scan(keys=True)
             return self._index.match(criteria)
 
     def verify_chain(self) -> VerifyResult:
-        """Recompute all digests; OK, or the smallest index that fails.
+        """Recompute all digests in one sequential read of chain.log and of
+        the segment; OK, or the smallest index that fails.
 
-        A chain shorter than the set of stored object files fails at
-        index = chain length (missing tail).
+        Segment bytes past the last chained record fail at index = chain
+        length (a record with no chain line).
         """
-        chain_path = self._chain_path()
-        # decode per line: a corrupt byte must become a bad index, not a crash
-        raw = chain_path.read_bytes() if chain_path.exists() else b""
-        if raw.endswith(b"\n"):
-            raw = raw[:-1]
-        lines = raw.split(b"\n") if raw else []
-        prev = ZERO_DIGEST
-        covered: set[str] = set()
-        for k, raw_line in enumerate(lines):
-            try:
-                record = parse_chain_line(raw_line.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                return VerifyResult(False, k, len(lines))
-            if record.index != k or record.prev_digest != prev:
-                return VerifyResult(False, k, len(lines))
-            try:
-                object_bytes = read_file(self._object_path(record.object_uid))
-            except FileNotFoundError:
-                return VerifyResult(False, k, len(lines))
-            if digest(object_bytes) != record.object_digest:
-                return VerifyResult(False, k, len(lines))
-            prev = digest(record.canonical_bytes())
-            covered.add(record.object_uid)
-        on_disk = {
-            path.name[: -len(OBJECT_SUFFIX)]
-            for path in self._dir.glob(f"*{OBJECT_SUFFIX}")
-        }
-        if on_disk - covered:
-            return VerifyResult(False, len(lines), len(lines))
+        with self._lock, closing(_segment_records(self._segment)) as records:
+            lines = _chain_lines(self._chain_path())
+            prev = ZERO_DIGEST
+            for k, line in enumerate(lines):
+                try:
+                    record = parse_chain_line(line.decode("utf-8"))
+                except ValueError:  # UnicodeDecodeError included
+                    return VerifyResult(False, k, len(lines))
+                _, data = next(records, (None, None))
+                if (
+                    record.index != k
+                    or record.prev_digest != prev
+                    or data is None
+                    or digest(data) != record.object_digest
+                ):
+                    return VerifyResult(False, k, len(lines))
+                prev = digest(record.canonical_bytes())
+            if next(records, None) is not None:
+                return VerifyResult(False, len(lines), len(lines))
         return VerifyResult(True, None, len(lines))
+
+
+def _unheld(uid: str) -> UnreadableObject:
+    return UnreadableObject(f"{uid}: the segment does not hold its record")
 
 
 # --- archive-channel wire service --------------------------------------------

@@ -23,11 +23,11 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .archive import Archive, DataObject, Element
+from .archive import SEGMENT_FILE, Archive, DataObject, Element
 from .bus import OrdersBus, Procedure, UnknownStation, WrongState as BusWrongState
 from .errors import Nde4Error
 from .framing import (
-    Channel, OversizedPayload, canonical_json, decode_frame, json_list, json_table,
+    HEADER_SIZE, OversizedPayload, canonical_json, json_list, json_table,
 )
 from .gateway import (
     Indication,
@@ -669,9 +669,8 @@ class _Engine:
     # --- plumbing ------------------------------------------------------------
 
     def _orders_tap(self, frame_bytes: bytes) -> None:
-        frame = decode_frame(frame_bytes)
-        if frame.channel == Channel.ORDERS:
-            self.orders_frame_sizes.append(len(frame.payload))
+        # the bus taps only the ORDERS frames it encodes itself
+        self.orders_frame_sizes.append(len(frame_bytes) - HEADER_SIZE)
 
     def schedule(
         self,
@@ -1120,11 +1119,13 @@ class _Engine:
             uids = self.archive.uids()
             rng = _derive_rng(self.config.seed, "tamper")
             uid = uids[rng.randrange(len(uids))]
-            path = self.archive.directory / f"{uid}.ndeo"
-            blob = bytearray(path.read_bytes())
-            position = rng.randrange(len(blob))
-            blob[position] ^= 0x01
-            path.write_bytes(bytes(blob))
+            offset, length = self.archive.object_span(uid)
+            position = rng.randrange(length)
+            with (self.archive.directory / SEGMENT_FILE).open("r+b") as segment:
+                segment.seek(offset + position)
+                flipped = segment.read(1)[0] ^ 0x01
+                segment.seek(offset + position)
+                segment.write(bytes([flipped]))
             self.clock.advance()
             self.emit(
                 "fault",

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import struct
+from pathlib import Path
 
 import pytest
 
-from nde4.archive import Archive, DataObject
+from nde4.archive import CHAIN_FILE, SEGMENT_FILE, Archive, DataObject
 from nde4.framing import Channel, canonical_json, decode_frame, encode_frame
 from nde4.identity import InstanceId, TypeId
 from nde4.registry import Manifest, ManifestBody, ManifestHeader, ServiceDesc
@@ -54,6 +55,21 @@ def make_object(
     if extra:
         values.update(extra)
     return DataObject.from_values(values)
+
+
+def record_range(directory: Path, uid: str) -> range:
+    """Byte range of uid's record (u32 LE length, then the object bytes) in
+    the segment file of the archive at `directory`, found by walking the
+    records in chain.log order; the object bytes start 4 bytes in."""
+    uids = [line.split("\t")[1] for line in (directory / CHAIN_FILE).read_text().splitlines()]
+    segment = (directory / SEGMENT_FILE).read_bytes()
+    start = 0
+    for chained in uids:
+        end = start + 4 + struct.unpack_from("<I", segment, start)[0]
+        if chained == uid:
+            return range(start, end)
+        start = end
+    raise KeyError(uid)
 
 
 @pytest.fixture

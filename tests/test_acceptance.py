@@ -21,11 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_object, station_id, station_manifest
+from conftest import make_object, record_range, station_id, station_manifest
 from test_plantsim import oracle_indications, two_company_config
 
 from nde4.archive import (
-    OBJECT_SUFFIX,
+    SEGMENT_FILE,
     Archive,
     BadPreamble,
     DataObject,
@@ -292,11 +292,13 @@ def test_03_every_byte_flip_is_detected(tmp_path):
             )
         assert store.verify_chain().ok
 
-        for index, uid in enumerate(uids):
-            path = tmp_path / "flip" / f"{uid}{OBJECT_SUFFIX}"
-            original = path.read_bytes()
-            assert len(original) <= 4096
-            for offset in range(len(original)):
+        # every byte of the segment, length prefixes included
+        path = tmp_path / "flip" / SEGMENT_FILE
+        original = path.read_bytes()
+        records = [record_range(tmp_path / "flip", uid) for uid in uids]
+        assert records[-1].stop == len(original) <= 3 * 4096
+        for index, (uid, record) in enumerate(zip(uids, records)):
+            for offset in record:
                 mutated = bytearray(original)
                 mutated[offset] ^= 0xFF
                 path.write_bytes(bytes(mutated))
@@ -305,7 +307,7 @@ def test_03_every_byte_flip_is_detected(tmp_path):
                 assert result.bad_index == index, (
                     f"{uid} byte {offset}: index {result.bad_index} != {index}"
                 )
-            path.write_bytes(original)
+        path.write_bytes(original)
 
         chain_path = tmp_path / "flip" / "chain.log"
         chain = chain_path.read_bytes()
@@ -643,7 +645,10 @@ def test_08_every_declared_error_is_triggered(tmp_path):
         store = Archive(tmp_path / "errors", clock)
         store.store(make_object(uid="err-1"))
         store.store(make_object(uid="err-gone"))
-        (store.directory / f"err-gone{OBJECT_SUFFIX}").unlink()
+        segment = store.directory / SEGMENT_FILE  # cut before err-gone's record
+        segment.write_bytes(
+            segment.read_bytes()[: record_range(store.directory, "err-gone").start]
+        )
 
         registry = Registry()
         stn = station_id("err-stn")

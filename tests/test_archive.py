@@ -1,36 +1,43 @@
 from __future__ import annotations
 
+import errno
 import json
+import os
 import random
 import struct
 import sys
 import threading
 from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from conftest import make_object
+from conftest import make_object, record_range
+from nde4 import archive as archive_module
 from nde4.archive import (
     Archive,
     ArchiveWire,
     BadPreamble,
     CHAIN_FILE,
+    ChainRecord,
     DataObject,
     DuplicateUID,
     Element,
     NonCanonicalOrder,
-    OBJECT_SUFFIX,
     OP_ERROR,
     OP_FETCH,
     OP_QUERY,
     OP_RESULT,
     OP_STORE,
+    SEGMENT_FILE,
     TruncatedElement,
     UnknownUID,
     UnreadableObject,
     VerifyResult,
     _query_keys,
     decode_object,
+    digest,
     encode_object,
     parse_chain_line,
 )
@@ -202,7 +209,7 @@ def test_store_refuses_invalid_objects(store):
         store.store(incomplete)
     assert info.value.report is not None
     assert not store.uids()
-    assert not list(store.directory.glob(f"*{OBJECT_SUFFIX}"))
+    assert not (store.directory / SEGMENT_FILE).exists()
 
 
 def test_store_refuses_path_hostile_uid(store):
@@ -337,10 +344,10 @@ def test_verify_chain_detects_object_tamper(store, clock):
         store.store(make_object(uid=f"obj-{n}", order_id=f"ORD-{n}"))
         clock.advance()
     assert store.verify_chain().ok
-    target = store.directory / f"obj-1{OBJECT_SUFFIX}"
-    blob = bytearray(target.read_bytes())
-    blob[7] ^= 0xFF
-    target.write_bytes(bytes(blob))
+    segment = store.directory / SEGMENT_FILE
+    blob = bytearray(segment.read_bytes())
+    blob[record_range(store.directory, "obj-1").start + 4 + 7] ^= 0xFF
+    segment.write_bytes(bytes(blob))
     result = store.verify_chain()
     assert not result.ok
     assert result.bad_index == 1
@@ -350,7 +357,11 @@ def test_verify_chain_detects_missing_middle_object(store, clock):
     for n in range(3):
         store.store(make_object(uid=f"obj-{n}", order_id=f"ORD-{n}"))
         clock.advance()
-    (store.directory / f"obj-1{OBJECT_SUFFIX}").unlink()
+    # splice obj-1's record out: obj-2's record now sits in its place
+    segment = store.directory / SEGMENT_FILE
+    blob = segment.read_bytes()
+    middle = record_range(store.directory, "obj-1")
+    segment.write_bytes(blob[: middle.start] + blob[middle.stop :])
     result = store.verify_chain()
     assert not result.ok
     assert result.bad_index == 1
@@ -365,7 +376,7 @@ def test_verify_chain_detects_missing_tail(store, clock):
     chain_path.write_text(lines[0] + "\n")
     result = store.verify_chain()
     assert not result.ok
-    assert result.bad_index == 1  # chain has 1 record; obj-2 is uncovered
+    assert result.bad_index == 1  # chain has 1 record; obj-2's record is uncovered
 
 
 def test_verify_chain_detects_record_edit(store, clock):
@@ -377,13 +388,143 @@ def test_verify_chain_detects_record_edit(store, clock):
     # re-point record 0 at the other object, keeping its line self-consistent
     record = parse_chain_line(lines[1])
     forged = parse_chain_line(lines[0])
-    from dataclasses import replace
-
     forged = replace(forged, object_digest=record.object_digest)
     chain_path.write_text("\n".join((forged.line(), lines[1])) + "\n")
     result = store.verify_chain()
     assert not result.ok
     assert result.bad_index in (0, 1)  # digest mismatch at 0, else prev break at 1
+
+
+def test_chain_uid_must_be_an_id_token(store, clock):
+    store.store(make_object(uid="obj-1"))
+    # a self-consistent record, with its object in the segment, whose uid
+    # holds a NUL byte
+    first = parse_chain_line((store.directory / CHAIN_FILE).read_text().splitlines()[0])
+    blob = encode_object(make_object(uid="obj-2"))
+    forged = ChainRecord(
+        1, "bad\x00uid", digest(blob), digest(first.canonical_bytes()), "20200101T000001"
+    )
+    with (store.directory / SEGMENT_FILE).open("ab") as segment:
+        segment.write(struct.pack("<I", len(blob)) + blob)
+    with (store.directory / CHAIN_FILE).open("a") as chain:
+        chain.write(forged.line() + "\n")
+    for uid in ("bad\x00uid", "obj-ü", "../obj-1"):
+        with pytest.raises(ValueError):
+            parse_chain_line(replace(forged, object_uid=uid).line())
+    reopened = Archive(store.directory, clock)
+    assert reopened.uids() == ("obj-1",)
+    assert reopened.verify_chain() == VerifyResult(False, 1, 2)
+
+
+def test_chain_byte_that_is_not_utf8_is_a_bad_line_on_open(store, clock):
+    store.store(make_object(uid="obj-1"))
+    store.store(make_object(uid="obj-2", order_id="ORD-8"))
+    chain = store.directory / CHAIN_FILE
+    raw = bytearray(chain.read_bytes())
+    raw[raw.index(b"\n") + 3] = 0xFF  # inside line 1's uid
+    chain.write_bytes(bytes(raw))
+    reopened = Archive(store.directory, clock)
+    assert reopened.uids() == ("obj-1",)
+    assert reopened.verify_chain() == VerifyResult(False, 1, 2)
+
+
+def test_stray_tail_is_ignored_reported_and_cut_by_the_next_store(store, clock):
+    objects = [make_object(uid=f"obj-{n}", order_id=f"ORD-{n}") for n in range(4)]
+    for obj in objects[:3]:
+        store.store(obj)
+        clock.advance()
+    # what stores that died before their chain line leave: a whole record,
+    # then a record cut short
+    stray = encode_object(make_object(uid="obj-9", order_id="ORD-9"))
+    segment = store.directory / SEGMENT_FILE
+    with segment.open("ab") as out:
+        out.write(struct.pack("<I", len(stray)) + stray)
+        out.write(struct.pack("<I", len(stray)) + stray[:10])
+    reopened = Archive(store.directory, clock)
+    for obj in objects[:3]:
+        assert reopened.fetch(obj.uid) == obj
+    with pytest.raises(UnknownUID):
+        reopened.fetch("obj-9")
+    assert reopened.query(order_id="ORD-9") == ()
+    assert reopened.verify_chain() == VerifyResult(False, 3, 3)
+    reopened.store(objects[3])
+    again = Archive(store.directory, clock)
+    for obj in objects:
+        assert again.fetch(obj.uid) == obj
+    assert again.query(order_id="ORD-3") == ("obj-3",)
+    assert again.query(order_id="ORD-9") == ()
+    assert again.verify_chain() == VerifyResult(True, None, 4)
+    assert segment.stat().st_size == record_range(store.directory, "obj-3").stop
+
+
+def test_failed_chain_append_cuts_the_segment_back(store, clock, monkeypatch):
+    store.store(make_object(uid="obj-1"))
+    segment = store.directory / SEGMENT_FILE
+    before = segment.read_bytes()
+
+    def disk_full(path, line):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(archive_module, "append_line", disk_full)
+    with pytest.raises(OSError):
+        store.store(make_object(uid="obj-2", order_id="ORD-8"))
+    assert segment.read_bytes() == before
+    assert store.uids() == ("obj-1",)
+    monkeypatch.undo()
+    store.store(make_object(uid="obj-2", order_id="ORD-8"))
+    reopened = Archive(store.directory, clock)
+    assert reopened.fetch("obj-2") == make_object(uid="obj-2", order_id="ORD-8")
+    assert reopened.verify_chain() == VerifyResult(True, None, 2)
+
+
+def test_reads_return_whole_records_and_hold_no_handle(store, clock, monkeypatch):
+    store.store(make_object(uid="obj-1"))
+    store.store(make_object(uid="obj-2", order_id="ORD-8"))
+    open_fds: set[int] = set()
+    os_open, os_close = os.open, os.close
+
+    def open_and_track(path, flags, *args, **kwargs):
+        fd = os_open(path, flags, *args, **kwargs)
+        open_fds.add(fd)
+        return fd
+
+    def close_and_track(fd):
+        open_fds.discard(fd)
+        os_close(fd)
+
+    monkeypatch.setattr(os, "open", open_and_track)
+    monkeypatch.setattr(os, "close", close_and_track)
+    segment = store.directory / SEGMENT_FILE
+    segment.write_bytes(segment.read_bytes()[:-3])  # obj-2's record cut short
+    assert store.fetch_bytes("obj-1") == encode_object(make_object(uid="obj-1"))
+    with pytest.raises(UnreadableObject):
+        store.fetch_bytes("obj-2")
+    with pytest.raises(UnreadableObject):
+        store.query(order_id="ORD-8")
+    assert store.verify_chain() == VerifyResult(False, 1, 2)
+    assert not open_fds
+
+
+def test_store_appends_nothing_after_records_it_cannot_read(tmp_path, clock):
+    def three_objects(name: str) -> Path:
+        archive = Archive(tmp_path / name, clock)
+        for n in range(3):
+            archive.store(make_object(uid=f"obj-{n}", order_id=f"ORD-{n}"))
+        return archive.directory
+
+    # a segment cut before obj-1's record; a chain line that does not parse
+    cut = three_objects("cut")
+    segment = cut / SEGMENT_FILE
+    segment.write_bytes(segment.read_bytes()[: record_range(cut, "obj-1").start])
+    damaged = three_objects("damaged")
+    lines = (damaged / CHAIN_FILE).read_text().splitlines()
+    lines[1] = lines[1][:-1] + "x"
+    (damaged / CHAIN_FILE).write_text("\n".join(lines) + "\n")
+    for directory in (cut, damaged):
+        files = [(directory / name).read_bytes() for name in (SEGMENT_FILE, CHAIN_FILE)]
+        with pytest.raises(UnreadableObject):
+            Archive(directory, clock).store(make_object(uid="obj-3"))
+        assert [(directory / name).read_bytes() for name in (SEGMENT_FILE, CHAIN_FILE)] == files
 
 
 def test_empty_store_verifies(store):
@@ -417,7 +558,11 @@ def test_missing_object_file_is_a_named_error(store, clock):
     store.store(make_object(uid="obj-1"))
     clock.advance()
     store.store(make_object(uid="obj-2", order_id="ORD-8"))
-    (store.directory / f"obj-2{OBJECT_SUFFIX}").unlink()
+    # the segment is cut before obj-2's record; a reopened store finds that
+    # at its first read
+    segment = store.directory / SEGMENT_FILE
+    segment.write_bytes(segment.read_bytes()[: record_range(store.directory, "obj-2").start])
+    store = Archive(store.directory, clock)
     with pytest.raises(UnreadableObject):
         store.fetch("obj-2")
     with pytest.raises(UnreadableObject):
@@ -427,6 +572,7 @@ def test_missing_object_file_is_a_named_error(store, clock):
         with pytest.raises(UnreadableObject):
             store.query(order_id="ORD-7")
     assert store.query() == ("obj-1", "obj-2")
+    assert store.fetch("obj-1") == make_object(uid="obj-1")
     wire = ArchiveWire(store)
     for opcode, body in ((OP_FETCH, b'{"uid":"obj-2"}'), (OP_QUERY, b'{"method":"UT"}')):
         response = wire.request(bytes([opcode]) + body)
@@ -438,11 +584,16 @@ def test_corrupt_object_file_fails_the_index_build(store, clock):
     store.store(make_object(uid="obj-1"))
     clock.advance()
     store.store(make_object(uid="obj-2", order_id="ORD-8"))
-    target = store.directory / f"obj-2{OBJECT_SUFFIX}"
+    segment = store.directory / SEGMENT_FILE
+    last = record_range(store.directory, "obj-2")
     # every key still reads, but the tail is a cut-short element header
-    target.write_bytes(target.read_bytes() + b"\x08\x00")
+    damaged = segment.read_bytes()[last.start + 4 :] + b"\x08\x00"
+    segment.write_bytes(
+        segment.read_bytes()[: last.start] + struct.pack("<I", len(damaged)) + damaged
+    )
+    store = Archive(store.directory, clock)
     with pytest.raises(TruncatedElement) as decoded:
-        decode_object(target.read_bytes())
+        decode_object(damaged)
     # a failed index build leaves no index behind: the next query fails too
     for _ in range(2):
         with pytest.raises(TruncatedElement) as queried:
@@ -456,8 +607,8 @@ def test_corrupt_object_file_fails_the_index_build(store, clock):
 
 def test_non_utf8_key_value_on_disk_is_named_store_damage(store, clock):
     store.store(make_object(uid="obj-1"))
-    target = store.directory / f"obj-1{OBJECT_SUFFIX}"
-    target.write_bytes(target.read_bytes().replace(b"ORD-7", b"ORD-\xff"))
+    segment = store.directory / SEGMENT_FILE
+    segment.write_bytes(segment.read_bytes().replace(b"ORD-7", b"ORD-\xff"))
     reopened = Archive(store.directory, clock)
     with pytest.raises(EncodingError):
         reopened.fetch("obj-1").order_id

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_object
-from nde4.archive import Archive, encode_object
+from conftest import make_object, record_range
+from nde4.archive import SEGMENT_FILE, Archive, encode_object
 from nde4.cli import EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from nde4.registry import dump_manifest, manifest_from_dict
 from nde4.timebase import LogicalClock
@@ -180,9 +180,9 @@ def test_archive_verify_ok(tmp_path, capsys):
 
 def test_archive_verify_detects_tamper(tmp_path, capsys):
     directory = seeded_store(tmp_path)
-    target = directory / "obj-1.ndeo"
+    target = directory / SEGMENT_FILE
     blob = bytearray(target.read_bytes())
-    blob[-1] ^= 0x01
+    blob[record_range(directory, "obj-1")[-1]] ^= 0x01
     target.write_bytes(bytes(blob))
     code, out, _ = run_cli(capsys, "archive", "verify", "--dir", str(directory))
     assert code == EXIT_FINDINGS

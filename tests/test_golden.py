@@ -3,7 +3,7 @@
 Each case runs a shipped scenario through `run_scenario` and pins one sha256
 over everything the run leaves behind: the trace lines, the report JSON (in
 the form `nde4 sim run` writes it), and the name and bytes of every file in
-the data directory (chain.log, audit-*.log, *.ndeo). A change that is meant
+the data directory (chain.log, audit-*.log, objects.seg). A change that is meant
 to leave the output alone must leave these digests alone.
 """
 
@@ -21,13 +21,13 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOLDEN = {
     ("demo.scen", None):
-        "9274c646ce4c9634bb87f29827a61de3a6cfb6c953a84ba795cd5e189b52f126",
+        "84636c32b06cd16b7c1094afcff2a44c3b86da7bf6602be1a65b500cdfc7f130",
     ("demo.scen", 7):
-        "2f24bca4c4050c8dcc4eee52eabb78ebc1a3693459040b488ab19b83c466a797",
+        "6756b8abda8eabe1947ed851d3291f3750e316bfdf1f5da41fd7cdba59e6bb75",
     ("fullchain.scen", None):
-        "242efb1d7a02bd8423aa47dbf2e780c9776f5fbf02f972337b5e529cabcf7dcc",
+        "8d3665cb8f491ac21f643ced8c915fd9c624f20bb5d830b66e535564ab9fb087",
     ("fullchain.scen", 7):
-        "dd13e8a57e67738171a968a2fc4e9cf85aedb9b759e7d5f10ecc1c67ec4740d6",
+        "697c44e0a93fa3d10d10a0fc2facc3a4c6655278e3a8b72fcc45533c7efa6346",
 }
 
 

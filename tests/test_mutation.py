@@ -310,7 +310,7 @@ def test_parse_chain_line_mutants():
     rng = random.Random(1704)
     seeds = [
         ChainRecord(0, "obj-1", bytes(range(32)), bytes(32), "20200101T000000").line(),
-        ChainRecord(12, "obj-ü", bytes(32), bytes([7]) * 32, "20200101T000009").line(),
+        ChainRecord(12, "Obj_9.z-1", bytes(32), bytes([7]) * 32, "20200101T000009").line(),
     ]
     inputs = [
         m.decode("utf-8", "replace")

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_object
+from conftest import make_object, record_range
+from nde4 import bus as bus_module
+from nde4.archive import SEGMENT_FILE
 from nde4.bus import Procedure
-from nde4.framing import ORDERS_PAYLOAD_LIMIT
+from nde4.framing import ORDERS_PAYLOAD_LIMIT, Channel
 from nde4.gateway import Indication
 from nde4.identity import InstanceId, TypeId
 from nde4.messages import OrderState
@@ -660,6 +662,35 @@ def test_tamper_fault_breaks_the_chain(tmp_path):
     assert not result.archive.verify_chain().ok
     kinds = [json.loads(line)["kind"] for line in result.trace_lines]
     assert "fault" in kinds
+    # the fault flips one bit of the object's bytes inside its segment record
+    fault = next(
+        event["data"] for event in map(json.loads, result.trace_lines)
+        if event["kind"] == "fault"
+    )
+    run_scenario(base_config(), tmp_path / "clean")
+    tampered = (tmp_path / "m" / SEGMENT_FILE).read_bytes()
+    clean = (tmp_path / "clean" / SEGMENT_FILE).read_bytes()
+    flipped = record_range(tmp_path / "m", fault["uid"]).start + 4 + fault["byte"]
+    assert [k for k in range(len(clean)) if tampered[k] != clean[k]] == [flipped]
+    assert tampered[flipped] == clean[flipped] ^ 0x01
+    index = result.archive.uids().index(fault["uid"])
+    assert result.report["chain_status"] == f"BAD index {index}"
+
+
+def test_orders_frame_sizes_are_the_payloads_the_bus_frames(tmp_path, monkeypatch):
+    payloads: list[int] = []
+    encode_frame = bus_module.encode_frame
+
+    def encode_and_record(channel, payload):
+        frame = encode_frame(channel, payload)
+        if channel == Channel.ORDERS:
+            payloads.append(len(payload))
+        return frame
+
+    monkeypatch.setattr(bus_module, "encode_frame", encode_and_record)
+    config = load_scenario((SCENARIO_DIR / "fullchain.scen").read_text())
+    result = run_scenario(config, tmp_path / "d")
+    assert payloads and result.orders_frame_sizes == tuple(payloads)
 
 
 def test_oversize_fault_reroutes_and_completes(tmp_path):

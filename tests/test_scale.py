@@ -1,5 +1,5 @@
 """Cost that must stay flat as the store or the order count grows: per-order
-cost of a simulator run, and object-file reads of archive opens and queries."""
+cost of a simulator run, and segment reads of archive opens and queries."""
 
 from __future__ import annotations
 
@@ -11,8 +11,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from conftest import make_object
-from nde4.archive import OBJECT_SUFFIX, Archive
+from conftest import make_object, record_range
+from nde4.archive import READ_SIZE, SEGMENT_FILE, Archive
 from nde4.plantsim import load_scenario, run_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -61,17 +61,6 @@ def counted(open_, counts: Counter, wanted):
     return open_and_count
 
 
-def counted_os_open(os_open, counts: Counter, wanted):
-    """`os.open` that counts, as `counted` does, the read-only opens of each
-    file whose name `wanted` accepts with mode "r"."""
-    def os_open_and_count(path, flags, *args, **kwargs):
-        name = Path(path).name
-        if not flags & (os.O_WRONLY | os.O_RDWR) and wanted(name, "r"):
-            counts[name] += 1
-        return os_open(path, flags, *args, **kwargs)
-    return os_open_and_count
-
-
 def ms_per_order(config, count: int, data_dir: Path) -> float:
     start = time.perf_counter()
     result = run_scenario(config, data_dir)
@@ -96,31 +85,77 @@ def test_ms_per_order_is_flat_from_200_to_2000_orders(tmp_path):
     assert growth <= MAX_GROWTH
 
 
+def watch_segment(monkeypatch) -> tuple[list[tuple[str, int, int]], Counter]:
+    """From here on: every read of an archive segment file through os.read
+    or os.pread, in call order, as (call, offset, bytes read), and the
+    count of its opens through anything but os.open."""
+    reads: list[tuple[str, int, int]] = []
+    fds: set[int] = set()  # open descriptors of segment files
+    os_open, os_close, os_read, os_pread = os.open, os.close, os.read, os.pread
+
+    def open_segment(path, flags, *args, **kwargs):
+        fd = os_open(path, flags, *args, **kwargs)
+        if Path(path).name == SEGMENT_FILE:
+            fds.add(fd)
+        return fd
+
+    def close(fd):
+        fds.discard(fd)
+        os_close(fd)
+
+    def read(fd, size):
+        data = os_read(fd, size)
+        if fd in fds:
+            reads.append(("read", os.lseek(fd, 0, os.SEEK_CUR) - len(data), len(data)))
+        return data
+
+    def pread(fd, size, offset):
+        data = os_pread(fd, size, offset)
+        if fd in fds:
+            reads.append(("pread", offset, len(data)))
+        return data
+
+    opens: Counter[str] = Counter()
+    is_segment = lambda name, mode: name == SEGMENT_FILE  # noqa: E731
+    # Path.read_bytes opens through io.open, a plain open() is builtins.open
+    monkeypatch.setattr(io, "open", counted(io.open, opens, is_segment))
+    monkeypatch.setattr(builtins, "open", counted(builtins.open, opens, is_segment))
+    monkeypatch.setattr(os, "open", open_segment)
+    monkeypatch.setattr(os, "close", close)
+    monkeypatch.setattr(os, "read", read)
+    monkeypatch.setattr(os, "pread", pread)
+    return reads, opens
+
+
 def test_archive_open_reads_no_object_and_queries_read_each_once(tmp_path, monkeypatch):
     orders = LARGE // 2
     store = Archive(tmp_path / "data")
+    segment_reads, opens = watch_segment(monkeypatch)
     for n in range(LARGE):
         store.store(make_object(uid=f"obj-{n}", order_id=f"ORD-{n % orders}"))
-    reads: Counter[str] = Counter()
-
-    def object_read(name, mode):
-        return name.endswith(OBJECT_SUFFIX) and "r" in mode
-
-    # Path.read_bytes opens through io.open, a plain open() is builtins.open,
-    # and archive.read_file is os.open
-    monkeypatch.setattr(io, "open", counted(io.open, reads, object_read))
-    monkeypatch.setattr(builtins, "open", counted(builtins.open, reads, object_read))
-    monkeypatch.setattr(os, "open", counted_os_open(os.open, reads, object_read))
+    assert not segment_reads  # a fresh store knows its records without reading
+    size = (store.directory / SEGMENT_FILE).stat().st_size
+    record = record_range(store.directory, "obj-7")
+    opens.clear()
     reopened = Archive(store.directory)
     assert len(reopened.uids()) == LARGE
-    assert not reads
+    assert not segment_reads
+    # the first query reads the segment once, front to back, in chunks
     assert reopened.query(order_id="ORD-7") == ("obj-7", f"obj-{7 + orders}")
-    assert len(reads) == LARGE and set(reads.values()) == {1}
-    reads.clear()
+    position = 0
+    for call, offset, count in segment_reads:
+        assert (call, offset) == ("read", position) and count <= READ_SIZE
+        position += count
+    assert position == size
+    segment_reads.clear()
     for n in range(100):
         assert reopened.query(order_id=f"ORD-{n}", method="UT") == (
             f"obj-{n}", f"obj-{n + orders}")
-    assert not reads
+    assert not segment_reads
+    # a fetch reads its own record's object bytes, and nothing else
+    reopened.fetch_bytes("obj-7")
+    assert segment_reads == [("pread", record.start + 4, len(record) - 4)]
+    assert not opens
 
 
 def test_log_lines_are_not_written_through_file_objects(tmp_path, monkeypatch):

@@ -7,16 +7,16 @@ from functools import partial
 
 import pytest
 
-from conftest import make_object
+from conftest import make_object, record_range
 from nde4.archive import (
     Archive,
     ArchiveWire,
-    OBJECT_SUFFIX,
     OP_ERROR,
     OP_FETCH,
     OP_QUERY,
     OP_RESULT,
     OP_STORE,
+    SEGMENT_FILE,
     decode_object,
     encode_object,
 )
@@ -94,7 +94,9 @@ def test_missing_object_file_keeps_the_link(served_archive):
     store, (host, port) = served_archive
     store.store(make_object(uid="obj-1"))
     store.store(make_object(uid="obj-2"))
-    (store.directory / f"obj-2{OBJECT_SUFFIX}").unlink()
+    # cut the segment before obj-2's record
+    segment = store.directory / SEGMENT_FILE
+    segment.write_bytes(segment.read_bytes()[: record_range(store.directory, "obj-2").start])
     with FrameClient(host, port) as client:
         request = encode_frame(
             Channel.ARCHIVE, bytes([OP_FETCH]) + b'{"uid":"obj-2"}'
