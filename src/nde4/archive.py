@@ -10,19 +10,21 @@ Persistence is one append-only segment file ("objects.seg") of records,
 each a u32 LE length and an object's encode bytes, plus an append-only
 "chain.log" whose line k belongs to record k. Each chain line links to its
 predecessor by digest, so any post-hoc edit of a record or a chain line is
-detectable, and the first tampered index is identifiable. Segment bytes
-past the last chained record are what a store left that died before its
-chain line; reads ignore them, verify_chain reports them, and the next
-store cuts them off. There is no delete operation on the public surface,
-by design.
+detectable, and the first tampered index is identifiable. A record found
+by a read of the segment is served only if its bytes match its chain
+line's object digest, and a store refuses to append while any chained
+record is not held. Segment bytes past the last chained record are what a
+store left that died before its chain line; reads ignore them,
+verify_chain reports them, and the next store cuts them off. There is no
+delete operation on the public surface, by design.
 
-Cost model: opening a store reads only "chain.log". The first fetch,
-query or store after an open reads the segment once, in order, to find
-each record's (offset, length); the first query builds the index of each
-object's order id, component serial and method in that same read, walking
-only element headers and decoding only the three key values. Later
-fetches read one record each, later stores append one record and extend
-the index, and later queries read nothing.
+Cost model: opening a store reads only "chain.log". The first fetch, query
+or store after an open reads the segment once, in order, to find each
+record's (offset, length) and check its digest; the first query builds the
+index of each object's order id, component serial and method in that same
+read, walking only element headers and decoding only the three key values.
+Later fetches read one record each, later stores append one record and
+extend the index, and later queries read nothing.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class UnknownUID(Nde4Error):
 
 
 class UnreadableObject(Nde4Error):
-    """A committed object's record is missing or cannot be read."""
+    """A committed object's record is missing, damaged or cannot be read."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -395,7 +397,8 @@ class Archive:
         self._segment = self._dir / SEGMENT_FILE
         self._clock = clock if clock is not None else LogicalClock()
         self._lock = threading.Lock()
-        self._uids: dict[str, None] = {}  # store order; O(1) membership
+        # uid -> object digest from its chain line, in store order
+        self._uids: dict[str, bytes] = {}
         self._chain_damaged = False  # chain.log holds a line past the last parsed one
         # uid -> (offset, length) of its object bytes in the segment, and the
         # offset past the last chained record: found by the first read
@@ -421,29 +424,32 @@ class Archive:
             except ValueError:  # UnicodeDecodeError included
                 self._chain_damaged = True
                 break  # verify_chain reports the damage; index stops here
-            self._uids[record.object_uid] = None
+            self._uids[record.object_uid] = record.object_digest
             self._last_digest = digest(record.canonical_bytes())
 
     def _scan(self, keys: bool) -> None:
         """One sequential read of the segment's chained records; the caller
-        holds the lock. Finds each record's span, and with `keys` builds
-        the query index, which fails if the segment does not hold every
-        chained record."""
+        holds the lock. Finds the span of each record whose bytes match its
+        chain line's digest: any other is not held, whether damaged, cut
+        short or moved by a damaged or missing record before it. With
+        `keys` builds the query index, which fails if a record is not held."""
         spans: dict[str, tuple[int, int]] = {}
         index = _QueryIndex()
         end = 0
         with closing(_segment_records(self._segment)) as records:
-            for uid, (offset, data) in zip(self._uids, records):
+            for (uid, expected), (offset, data) in zip(self._uids.items(), records):
                 if data is None:
                     break
-                spans[uid] = (offset, len(data))
                 end = offset + len(data)
+                if digest(data) != expected:
+                    continue
+                spans[uid] = (offset, len(data))
                 if keys:
                     index.add(uid, _query_keys(data))
         self._spans, self._end = spans, end
         if keys:
             if len(spans) < len(self._uids):
-                raise _unheld(list(self._uids)[len(spans)])
+                raise _unheld(next(uid for uid in self._uids if uid not in spans))
             self._index = index
 
     def object_span(self, uid: str) -> tuple[int, int]:
@@ -503,7 +509,7 @@ class Archive:
             )
             self._spans[uid] = (self._end + _RECORD_HEADER.size, len(encoded))
             self._end += _RECORD_HEADER.size + len(encoded)
-            self._uids[uid] = None
+            self._uids[uid] = record.object_digest
             if self._index is not None:
                 self._index.add(
                     uid, (obj.order_id, obj.component_serial, obj.method_code)
@@ -587,7 +593,7 @@ class Archive:
 
 
 def _unheld(uid: str) -> UnreadableObject:
-    return UnreadableObject(f"{uid}: the segment does not hold its record")
+    return UnreadableObject(f"{uid}: the segment holds no record matching its chain line")
 
 
 # --- archive-channel wire service --------------------------------------------

@@ -1,11 +1,24 @@
 from __future__ import annotations
 
+import builtins
+import io
+import os
 import struct
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from nde4.archive import CHAIN_FILE, SEGMENT_FILE, Archive, DataObject
+from nde4.archive import (
+    CHAIN_FILE,
+    SEGMENT_FILE,
+    ZERO_DIGEST,
+    Archive,
+    ChainRecord,
+    DataObject,
+    digest,
+    parse_chain_line,
+)
 from nde4.framing import Channel, canonical_json, decode_frame, encode_frame
 from nde4.identity import InstanceId, TypeId
 from nde4.registry import Manifest, ManifestBody, ManifestHeader, ServiceDesc
@@ -70,6 +83,79 @@ def record_range(directory: Path, uid: str) -> range:
             return range(start, end)
         start = end
     raise KeyError(uid)
+
+
+def rechain(directory: Path) -> None:
+    """Rewrite the chain.log of the archive at `directory` so that each line
+    digests the record now at its place in the segment: a chain that agrees
+    with damaged records, as if they had been stored so."""
+    segment = (directory / SEGMENT_FILE).read_bytes()
+    lines, prev = [], ZERO_DIGEST
+    for line in (directory / CHAIN_FILE).read_text().splitlines():
+        old = parse_chain_line(line)
+        held = record_range(directory, old.object_uid)
+        record = ChainRecord(
+            old.index, old.object_uid, digest(segment[held.start + 4 : held.stop]),
+            prev, old.stored_at,
+        )
+        lines.append(record.line())
+        prev = digest(record.canonical_bytes())
+    (directory / CHAIN_FILE).write_text("\n".join(lines) + "\n")
+
+
+def counted(open_, counts: Counter, wanted):
+    """`open_` that counts the opens of each file whose name `wanted` accepts."""
+    def open_and_count(file, mode="r", *args, **kwargs):
+        name = Path(file).name if isinstance(file, (str, Path)) else ""
+        if wanted(name, mode):
+            counts[name] += 1
+        return open_(file, mode, *args, **kwargs)
+    return open_and_count
+
+
+def watch_segment(
+    monkeypatch,
+) -> tuple[list[tuple[str, int, int]], Counter, set[int]]:
+    """From here on: every read of an archive segment file through os.read
+    or os.pread, in call order, as (call, offset, bytes read); the count of
+    its opens through anything but os.open; and the segment descriptors
+    opened through os.open and not yet closed."""
+    reads: list[tuple[str, int, int]] = []
+    fds: set[int] = set()
+    os_open, os_close, os_read, os_pread = os.open, os.close, os.read, os.pread
+
+    def open_segment(path, flags, *args, **kwargs):
+        fd = os_open(path, flags, *args, **kwargs)
+        if Path(path).name == SEGMENT_FILE:
+            fds.add(fd)
+        return fd
+
+    def close(fd):
+        fds.discard(fd)
+        os_close(fd)
+
+    def read(fd, size):
+        data = os_read(fd, size)
+        if fd in fds:
+            reads.append(("read", os.lseek(fd, 0, os.SEEK_CUR) - len(data), len(data)))
+        return data
+
+    def pread(fd, size, offset):
+        data = os_pread(fd, size, offset)
+        if fd in fds:
+            reads.append(("pread", offset, len(data)))
+        return data
+
+    opens: Counter[str] = Counter()
+    is_segment = lambda name, mode: name == SEGMENT_FILE  # noqa: E731
+    # Path.read_bytes opens through io.open, a plain open() is builtins.open
+    monkeypatch.setattr(io, "open", counted(io.open, opens, is_segment))
+    monkeypatch.setattr(builtins, "open", counted(builtins.open, opens, is_segment))
+    monkeypatch.setattr(os, "open", open_segment)
+    monkeypatch.setattr(os, "close", close)
+    monkeypatch.setattr(os, "read", read)
+    monkeypatch.setattr(os, "pread", pread)
+    return reads, opens, fds
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_object, record_range
+from conftest import make_object, rechain, record_range, watch_segment
 from nde4 import archive as archive_module
 from nde4.archive import (
     Archive,
@@ -351,6 +351,12 @@ def test_verify_chain_detects_object_tamper(store, clock):
     result = store.verify_chain()
     assert not result.ok
     assert result.bad_index == 1
+    # a reopened store serves no record that fails its chain digest
+    reopened = Archive(store.directory, clock)
+    assert reopened.fetch("obj-0") == make_object(uid="obj-0", order_id="ORD-0")
+    assert reopened.fetch("obj-2") == make_object(uid="obj-2", order_id="ORD-2")
+    with pytest.raises(UnreadableObject):
+        reopened.fetch_bytes("obj-1")
 
 
 def test_verify_chain_detects_missing_middle_object(store, clock):
@@ -365,6 +371,14 @@ def test_verify_chain_detects_missing_middle_object(store, clock):
     result = store.verify_chain()
     assert not result.ok
     assert result.bad_index == 1
+    # a reopened store credits no record to another uid
+    reopened = Archive(store.directory, clock)
+    assert reopened.fetch("obj-0") == make_object(uid="obj-0", order_id="ORD-0")
+    for uid in ("obj-1", "obj-2"):
+        with pytest.raises(UnreadableObject):
+            reopened.fetch(uid)
+        with pytest.raises(UnreadableObject):
+            reopened.fetch_bytes(uid)
 
 
 def test_verify_chain_detects_missing_tail(store, clock):
@@ -480,20 +494,7 @@ def test_failed_chain_append_cuts_the_segment_back(store, clock, monkeypatch):
 def test_reads_return_whole_records_and_hold_no_handle(store, clock, monkeypatch):
     store.store(make_object(uid="obj-1"))
     store.store(make_object(uid="obj-2", order_id="ORD-8"))
-    open_fds: set[int] = set()
-    os_open, os_close = os.open, os.close
-
-    def open_and_track(path, flags, *args, **kwargs):
-        fd = os_open(path, flags, *args, **kwargs)
-        open_fds.add(fd)
-        return fd
-
-    def close_and_track(fd):
-        open_fds.discard(fd)
-        os_close(fd)
-
-    monkeypatch.setattr(os, "open", open_and_track)
-    monkeypatch.setattr(os, "close", close_and_track)
+    _, _, open_fds = watch_segment(monkeypatch)
     segment = store.directory / SEGMENT_FILE
     segment.write_bytes(segment.read_bytes()[:-3])  # obj-2's record cut short
     assert store.fetch_bytes("obj-1") == encode_object(make_object(uid="obj-1"))
@@ -520,7 +521,17 @@ def test_store_appends_nothing_after_records_it_cannot_read(tmp_path, clock):
     lines = (damaged / CHAIN_FILE).read_text().splitlines()
     lines[1] = lines[1][:-1] + "x"
     (damaged / CHAIN_FILE).write_text("\n".join(lines) + "\n")
-    for directory in (cut, damaged):
+    # the last record's length prefix lowered by 3: the record reads 3 bytes
+    # short, and a store that trusted it would cut those bytes off
+    short = three_objects("short")
+    segment = short / SEGMENT_FILE
+    blob = bytearray(segment.read_bytes())
+    last = record_range(short, "obj-2")
+    struct.pack_into("<I", blob, last.start, len(last) - 4 - 3)
+    segment.write_bytes(bytes(blob))
+    with pytest.raises(UnreadableObject):
+        Archive(short, clock).fetch_bytes("obj-2")
+    for directory in (cut, damaged, short):
         files = [(directory / name).read_bytes() for name in (SEGMENT_FILE, CHAIN_FILE)]
         with pytest.raises(UnreadableObject):
             Archive(directory, clock).store(make_object(uid="obj-3"))
@@ -591,24 +602,40 @@ def test_corrupt_object_file_fails_the_index_build(store, clock):
     segment.write_bytes(
         segment.read_bytes()[: last.start] + struct.pack("<I", len(damaged)) + damaged
     )
-    store = Archive(store.directory, clock)
     with pytest.raises(TruncatedElement) as decoded:
         decode_object(damaged)
-    # a failed index build leaves no index behind: the next query fails too
-    for _ in range(2):
-        with pytest.raises(TruncatedElement) as queried:
-            store.query(order_id="ORD-7")
-        assert str(queried.value) == str(decoded.value)
-    assert store.query() == ("obj-1", "obj-2")
-    response = ArchiveWire(store).request(bytes([OP_QUERY]) + b'{"method":"UT"}')
-    assert response[0] == OP_ERROR
-    assert json.loads(response[1:])["code"] == "TruncatedElement"
+    # the record fails its chain digest, so it is not held; with a chain
+    # that agrees with it, the index build decodes it and fails on it. A
+    # failed index build leaves no index behind: the next query fails too
+    for error in (UnreadableObject, TruncatedElement):
+        reopened = Archive(store.directory, clock)
+        for _ in range(2):
+            with pytest.raises(error) as queried:
+                reopened.query(order_id="ORD-7")
+        assert reopened.query() == ("obj-1", "obj-2")
+        response = ArchiveWire(reopened).request(bytes([OP_QUERY]) + b'{"method":"UT"}')
+        assert response[0] == OP_ERROR
+        assert json.loads(response[1:])["code"] == error.__name__
+        rechain(store.directory)
+    assert str(queried.value) == str(decoded.value)
 
 
 def test_non_utf8_key_value_on_disk_is_named_store_damage(store, clock):
     store.store(make_object(uid="obj-1"))
     segment = store.directory / SEGMENT_FILE
     segment.write_bytes(segment.read_bytes().replace(b"ORD-7", b"ORD-\xff"))
+    # the record fails its chain digest: no read serves it, and verify_chain
+    # names it
+    reopened = Archive(store.directory, clock)
+    wire = ArchiveWire(reopened)
+    for opcode, body in ((OP_FETCH, b'{"uid":"obj-1"}'), (OP_QUERY, b'{"orderId":"ORD-7"}')):
+        response = wire.request(bytes([opcode]) + body)
+        assert response[0] == OP_ERROR
+        assert json.loads(response[1:])["code"] == "UnreadableObject"
+    assert reopened.verify_chain() == VerifyResult(False, 0, 1)
+    # with a chain that agrees with it, the bad key value is a named error
+    # and the bytes still travel
+    rechain(store.directory)
     reopened = Archive(store.directory, clock)
     with pytest.raises(EncodingError):
         reopened.fetch("obj-1").order_id
@@ -616,9 +643,7 @@ def test_non_utf8_key_value_on_disk_is_named_store_damage(store, clock):
     response = wire.request(bytes([OP_QUERY]) + b'{"orderId":"ORD-7"}')
     assert response[0] == OP_ERROR
     assert json.loads(response[1:])["code"] == "EncodingError"
-    # the bytes still travel; verify_chain names the damaged record
     assert wire.request(bytes([OP_FETCH]) + b'{"uid":"obj-1"}')[0] == OP_RESULT
-    assert reopened.verify_chain() == VerifyResult(False, 0, 1)
 
 
 def test_wire_errors(store):

@@ -6,12 +6,11 @@ from __future__ import annotations
 import builtins
 import io
 import json
-import os
 import time
 from collections import Counter
 from pathlib import Path
 
-from conftest import make_object, record_range
+from conftest import counted, make_object, record_range, watch_segment
 from nde4.archive import READ_SIZE, SEGMENT_FILE, Archive
 from nde4.plantsim import load_scenario, run_scenario
 
@@ -51,16 +50,6 @@ def cloned_fullchain(copies: int) -> str:
     return json.dumps({**document, "orders": orders, "exchanges": exchanges})
 
 
-def counted(open_, counts: Counter, wanted):
-    """`open_` that counts the opens of each file whose name `wanted` accepts."""
-    def open_and_count(file, mode="r", *args, **kwargs):
-        name = Path(file).name if isinstance(file, (str, Path)) else ""
-        if wanted(name, mode):
-            counts[name] += 1
-        return open_(file, mode, *args, **kwargs)
-    return open_and_count
-
-
 def ms_per_order(config, count: int, data_dir: Path) -> float:
     start = time.perf_counter()
     result = run_scenario(config, data_dir)
@@ -85,52 +74,10 @@ def test_ms_per_order_is_flat_from_200_to_2000_orders(tmp_path):
     assert growth <= MAX_GROWTH
 
 
-def watch_segment(monkeypatch) -> tuple[list[tuple[str, int, int]], Counter]:
-    """From here on: every read of an archive segment file through os.read
-    or os.pread, in call order, as (call, offset, bytes read), and the
-    count of its opens through anything but os.open."""
-    reads: list[tuple[str, int, int]] = []
-    fds: set[int] = set()  # open descriptors of segment files
-    os_open, os_close, os_read, os_pread = os.open, os.close, os.read, os.pread
-
-    def open_segment(path, flags, *args, **kwargs):
-        fd = os_open(path, flags, *args, **kwargs)
-        if Path(path).name == SEGMENT_FILE:
-            fds.add(fd)
-        return fd
-
-    def close(fd):
-        fds.discard(fd)
-        os_close(fd)
-
-    def read(fd, size):
-        data = os_read(fd, size)
-        if fd in fds:
-            reads.append(("read", os.lseek(fd, 0, os.SEEK_CUR) - len(data), len(data)))
-        return data
-
-    def pread(fd, size, offset):
-        data = os_pread(fd, size, offset)
-        if fd in fds:
-            reads.append(("pread", offset, len(data)))
-        return data
-
-    opens: Counter[str] = Counter()
-    is_segment = lambda name, mode: name == SEGMENT_FILE  # noqa: E731
-    # Path.read_bytes opens through io.open, a plain open() is builtins.open
-    monkeypatch.setattr(io, "open", counted(io.open, opens, is_segment))
-    monkeypatch.setattr(builtins, "open", counted(builtins.open, opens, is_segment))
-    monkeypatch.setattr(os, "open", open_segment)
-    monkeypatch.setattr(os, "close", close)
-    monkeypatch.setattr(os, "read", read)
-    monkeypatch.setattr(os, "pread", pread)
-    return reads, opens
-
-
 def test_archive_open_reads_no_object_and_queries_read_each_once(tmp_path, monkeypatch):
     orders = LARGE // 2
     store = Archive(tmp_path / "data")
-    segment_reads, opens = watch_segment(monkeypatch)
+    segment_reads, opens, _ = watch_segment(monkeypatch)
     for n in range(LARGE):
         store.store(make_object(uid=f"obj-{n}", order_id=f"ORD-{n % orders}"))
     assert not segment_reads  # a fresh store knows its records without reading
