@@ -648,7 +648,7 @@ class _Engine:
 
         self._queue: list[tuple[int, str, int, Callable[[], None]]] = []
         self._insertions = 0
-        self._trace: list[dict] = []
+        self._trace: list[str] = []
         self._seq = 0
         self._uid_counter = 0
         self._uid_prefix = hashlib.sha256(
@@ -683,15 +683,16 @@ class _Engine:
         heapq.heappush(self._queue, (tick, actor, self._insertions, fn, order_id))
 
     def emit(self, actor: str, kind: str, data: dict) -> None:
-        self._trace.append(
-            {
-                "seq": self._seq,
-                "at": self.clock.now_text(),
-                "actor": actor,
-                "kind": kind,
-                "data": data,
-            }
-        )
+        """Append one trace event. Its line is fixed here, when the event is
+        emitted: it is encoded at once and the event itself is not kept."""
+        event = {
+            "seq": self._seq,
+            "at": self.clock.now_text(),
+            "actor": actor,
+            "kind": kind,
+            "data": data,
+        }
+        self._trace.append(canonical_json(event).decode("utf-8"))
         self._seq += 1
 
     def _publish(self, order_id: str, state: OrderState) -> None:
@@ -707,7 +708,7 @@ class _Engine:
             self._on_status(event.order_id, event.state)
 
     def trace_lines(self) -> tuple[str, ...]:
-        return tuple(canonical_json(entry).decode("utf-8") for entry in self._trace)
+        return tuple(self._trace)
 
     def mint_uid(self) -> str:
         self._uid_counter += 1
