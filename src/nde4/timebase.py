@@ -33,18 +33,25 @@ def format_tick(tick: int) -> str:
 def parse_datetime(text: str) -> int:
     """Parse canonical DATETIME text back to a logical tick.
 
-    Raises BadDatetime on any layout or calendar violation. The text must be
-    ASCII: strptime reads any Unicode digit as a digit, so "٢٠٢٠0101T000000"
-    would parse, yet sort after every ASCII DATETIME text.
+    Raises BadDatetime on any layout or calendar violation. The layout is
+    exactly 8 ASCII digits, "T", 6 ASCII digits: DATETIME texts are compared
+    as strings, so only the one canonical form of each moment may parse
+    (strptime also took a space-padded day, and any Unicode digit).
     """
-    if not text.isascii():
-        raise BadDatetime(f"datetime must be ASCII: {text!r}")
     if len(text) != DATETIME_LENGTH:
         raise BadDatetime(
             f"datetime must be {DATETIME_LENGTH} chars, got {len(text)}: {text!r}"
         )
+    date, separator, time = text[:8], text[8], text[9:]
+    if not (
+        text.isascii() and date.isdigit() and separator == "T" and time.isdigit()
+    ):
+        raise BadDatetime(f"datetime must be ASCII YYYYMMDDThhmmss: {text!r}")
     try:
-        moment = _dt.datetime.strptime(text, DATETIME_FORMAT)
+        moment = _dt.datetime(
+            int(date[:4]), int(date[4:6]), int(date[6:]),
+            int(time[:2]), int(time[2:4]), int(time[4:]),
+        )
     except ValueError as exc:
         raise BadDatetime(f"invalid datetime {text!r}: {exc}") from exc
     if moment < EPOCH:

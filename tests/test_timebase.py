@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime
+import random
 
 import pytest
 
@@ -44,12 +45,38 @@ def test_round_trip_against_datetime_oracle():
         "19991231T235959",  # before epoch
         "\u0662\u0660\u0662\u06600101T000000",  # Arabic-Indic digits for 2020
         "２０２００１０１T000000",  # fullwidth digits
+        "202001 1T000000",  # space-padded day, which strptime's %d takes
+        "+2020101T000000",  # signs and spaces where int() would take them
+        "20200101T 00000",
     ],
 )
 def test_parse_rejects_bad_text(bad):
     assert not is_valid_datetime(bad)
     with pytest.raises(BadDatetime):
         parse_datetime(bad)
+
+
+def test_every_accepted_text_is_the_canonical_form_of_its_tick():
+    # mutated canonical texts and random ones: whatever parses must format back
+    # to itself, so two texts of one moment never both pass
+    rng = random.Random(2024)
+    alphabet = "0123456789T +-_:.Z\t\u0663"
+    accepted = 0
+    for _ in range(30_000):
+        if rng.random() < 0.5:
+            chars = list(format_tick(rng.randrange(0, 4_000_000_000)))
+            for _ in range(rng.randint(1, 3)):
+                chars[rng.randrange(len(chars))] = rng.choice(alphabet)
+            text = "".join(chars)
+        else:
+            text = "".join(rng.choice("0123456789 T") for _ in range(DATETIME_LENGTH))
+        try:
+            tick = parse_datetime(text)
+        except BadDatetime:
+            continue
+        accepted += 1
+        assert format_tick(tick) == text
+    assert accepted > 1000
 
 
 def test_clock_is_monotone():
