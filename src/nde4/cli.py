@@ -78,7 +78,7 @@ def cmd_sim_run(args) -> CommandResult:
     scenario_path = Path(args.scenario)
     try:
         text = scenario_path.read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return CommandResult(EXIT_RUNTIME, f"cannot read scenario: {exc}")
     config = load_scenario(text, seed_override=args.seed)
     out_dir = Path(args.out)
@@ -198,7 +198,7 @@ def cmd_validate_shell(args) -> CommandResult:
     path = Path(args.file)
     try:
         text = path.read_text("utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return CommandResult(EXIT_RUNTIME, f"cannot read manifest: {exc}")
     try:
         document = json.loads(text)
@@ -206,6 +206,8 @@ def cmd_validate_shell(args) -> CommandResult:
         return CommandResult(
             EXIT_RUNTIME, f"manifest parse failed at byte {exc.pos}: {exc.msg}"
         )
+    except (ValueError, RecursionError) as exc:  # a huge int, too deep
+        return CommandResult(EXIT_RUNTIME, f"manifest parse failed: {exc}")
     try:
         manifest = manifest_from_dict(document)
     except ValueError as exc:

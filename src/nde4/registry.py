@@ -371,4 +371,8 @@ def dump_manifest(manifest: Manifest) -> str:
 
 
 def load_manifest(text: str) -> Manifest:
-    return manifest_from_dict(json.loads(text))
+    try:
+        document = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # not JSON, a huge int, too deep
+        raise ValueError(f"malformed manifest document: {exc}") from exc
+    return manifest_from_dict(document)

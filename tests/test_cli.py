@@ -309,6 +309,36 @@ def test_validate_shell_missing_file(tmp_path, capsys):
     assert "cannot read manifest" in out
 
 
+NOT_UTF8 = b'{"seed": "\xff"}'
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        ("validate", b"[" * 100_000, "manifest parse failed"),
+        (
+            "validate",
+            b'{"header": {"displayName": ' + b"7" * 5000 + b"}}",
+            "manifest parse failed",
+        ),
+        ("validate", NOT_UTF8, "cannot read manifest"),
+        ("sim", NOT_UTF8, "cannot read scenario"),
+    ],
+    ids=["shell-too-deep", "shell-huge-int", "shell-not-utf8", "scenario-not-utf8"],
+)
+def test_unreadable_input_file_is_runtime_error(tmp_path, capsys, command, content, message):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    argv = {
+        "validate": ["validate", "shell", "--file", str(path)],
+        "sim": ["sim", "run", "--scenario", str(path), "--out", str(tmp_path / "o")],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_RUNTIME
+    assert message in out
+    assert "Traceback" not in out + err
+
+
 def test_validate_object_clean(tmp_path, capsys):
     path = tmp_path / "good.ndeo"
     path.write_bytes(encode_object(make_object()))

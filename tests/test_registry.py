@@ -370,6 +370,17 @@ def test_load_manifest_refuses_wrong_types(body, header, message):
     assert f"malformed manifest document: {message}" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "[" * 100_000, '{"header": {"displayName": ' + "7" * 5000 + "}}"],
+    ids=["not-json", "too-deep", "huge-int"],
+)
+def test_load_manifest_refuses_unparseable_text(text):
+    with pytest.raises(ValueError) as info:
+        load_manifest(text)
+    assert "malformed manifest document: " in str(info.value)
+
+
 def test_every_constructible_instance_id_survives_the_manifest_round_trip():
     # serials of every allowed character and length, incl. the 64-char limit,
     # under namespaces and type names of every allowed character and length
