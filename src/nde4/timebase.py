@@ -35,8 +35,8 @@ def parse_datetime(text: str) -> int:
 
     Raises BadDatetime on any layout or calendar violation. The layout is
     exactly 8 ASCII digits, "T", 6 ASCII digits: DATETIME texts are compared
-    as strings, so only the one canonical form of each moment may parse
-    (strptime also took a space-padded day, and any Unicode digit).
+    as strings, so only the one canonical form of each moment may parse,
+    and int() alone would also take signs, spaces and non-ASCII digits.
     """
     if len(text) != DATETIME_LENGTH:
         raise BadDatetime(

@@ -105,6 +105,6 @@ def test_off_path_run_bytes_match_the_pinned_digest(case, tmp_path):
     else:
         result = run_scenario(config, data_dir)
         trace_lines, report = result.trace_lines, result.report
-    kinds = {json.loads(line)["kind"] for line in trace_lines}
-    assert case != "error" or "error" in kinds
+    if case == "error":
+        assert any(json.loads(line)["kind"] == "error" for line in trace_lines)
     assert digest(trace_lines, report, data_dir) == FULLCHAIN_OFF_PATH[case]
