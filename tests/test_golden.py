@@ -10,6 +10,10 @@ Off the happy path, `fullchain.scen` runs once with each fault kind armed, and
 once with one procedure asking for more archived refs than an order stores, so
 that its gateway step fails and the trace carries an `error` event. A deadlock
 is digested from what `ScenarioDeadlock` carries: its trace lines and report.
+
+The wire bytes a run carries are pinned apart from that: one sha256 over the
+SOVEREIGN frames in order and the payload size of each ORDERS frame, for the
+four happy-path runs and the overread case.
 """
 
 from __future__ import annotations
@@ -58,6 +62,19 @@ FULLCHAIN_OFF_PATH = {
         "9ecd0e95509ea9bb94e1f1f253093af1f80fa5edfd954c48b6c3e82e85e47e0d",
 }
 
+WIRE_GOLDEN = {
+    ("demo.scen", None, None):
+        "f18f6f5abade5baa315d2e21b11389a62e1df1efe3bad5b660be0220ee0b3954",
+    ("demo.scen", 7, None):
+        "aa38cab462b97c90c54e73926880ab1e69c51ce4319502d1403e05dc0725f574",
+    ("fullchain.scen", None, None):
+        "a234421b0b8e529c34d385ccaecd08b321574b8d3d624e79c2e663c744aac3fc",
+    ("fullchain.scen", 7, None):
+        "d8e2de9e939060f2209c54c84cb397b0b50817525513c439960cde4b462411f2",
+    ("fullchain.scen", None, FAULT_OVERREAD):
+        "69102019975049cf1d1702be5004a68fb7cfe34e690867c1a29c448e7c6a00e9",
+}
+
 # the walkaround procedure of fullchain.scen, asking for one more archived ref
 # than its order stores; that order (ORD-10) has no exchange waiting on it
 ONE_REF_SHORT = (
@@ -74,6 +91,15 @@ def digest(trace_lines, report: dict, data_dir: Path) -> str:
     for path in sorted(data_dir.iterdir()):
         content = path.read_bytes()
         sha.update(f"\n{path.name}\0{len(content)}\0".encode("utf-8") + content)
+    return sha.hexdigest()
+
+
+def wire_digest(sovereign_frames, orders_frame_sizes) -> str:
+    sha = hashlib.sha256()
+    for frame in sovereign_frames:
+        sha.update(len(frame).to_bytes(4, "little") + frame)
+    for size in orders_frame_sizes:
+        sha.update(size.to_bytes(4, "little"))
     return sha.hexdigest()
 
 
@@ -108,3 +134,15 @@ def test_off_path_run_bytes_match_the_pinned_digest(case, tmp_path):
     if case == "error":
         assert any(json.loads(line)["kind"] == "error" for line in trace_lines)
     assert digest(trace_lines, report, data_dir) == FULLCHAIN_OFF_PATH[case]
+
+
+@pytest.mark.parametrize(("scenario", "seed", "fault"), sorted(WIRE_GOLDEN, key=str))
+def test_wire_bytes_match_the_pinned_digest(scenario, seed, fault, tmp_path):
+    text = (SCENARIO_DIR / scenario).read_text("utf-8")
+    config = load_scenario(text, seed_override=seed)
+    if fault is not None:
+        config = inject_fault(config, FaultSpec(fault))
+    result = run_scenario(config, tmp_path / "data")
+    assert result.sovereign_frames or scenario == "demo.scen"  # demo runs no exchange
+    digest = wire_digest(result.sovereign_frames, result.orders_frame_sizes)
+    assert digest == WIRE_GOLDEN[scenario, seed, fault]
