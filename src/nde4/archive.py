@@ -37,6 +37,7 @@ from collections.abc import Iterator
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import Nde4Error, ValidationFailed
 from .framing import NULL, OP_ERROR, canonical_json, dispatch, json_object, json_table
@@ -96,8 +97,7 @@ class UnreadableObject(Nde4Error):
     """A committed object's record is missing, damaged or cannot be read."""
 
 
-@dataclass(frozen=True, slots=True)
-class Element:
+class Element(NamedTuple):
     code: TagCode
     value: bytes
 
@@ -159,8 +159,8 @@ def encode_object(obj: DataObject) -> bytes:
     return b"".join(chunks)
 
 
-def _element_spans(data: bytes):
-    """Walk encoded object bytes: yield (group, element, start, end) of each
+def _element_spans(data: bytes) -> list[tuple[int, int, int, int]]:
+    """Walk encoded object bytes: (group, element, start, end) of each
     element, its value being data[start:end]. Every check of the object
     form runs here, in this order: preamble, version, truncated header,
     truncated value, strictly ascending (group, element)."""
@@ -168,13 +168,15 @@ def _element_spans(data: bytes):
         raise BadPreamble(f"expected {PREAMBLE!r} preamble")
     if data[4] != OBJECT_VERSION:
         raise BadPreamble(f"unsupported object version {data[4]}")
+    unpack = _ELEMENT_HEADER.unpack_from
     size = len(data)
-    previous = (-1, -1)  # below every (group, element)
+    spans = []
+    previous = -1  # (group, element) as group << 16 | element; below every code
     offset = 5
     while offset < size:
         if offset + 8 > size:
             raise TruncatedElement(f"element header cut short at byte {offset}")
-        group, element_number, length = _ELEMENT_HEADER.unpack_from(data, offset)
+        group, element_number, length = unpack(data, offset)
         offset += 8
         end = offset + length
         if end > size:
@@ -182,23 +184,27 @@ def _element_spans(data: bytes):
                 f"value of ({group:04X},{element_number:04X}) cut short at byte "
                 f"{offset}: need {length} bytes, have {size - offset}"
             )
-        code = (group, element_number)
+        code = group << 16 | element_number
         if code <= previous:
             raise NonCanonicalOrder(
-                f"{TagCode(*code)} after {TagCode(*previous)}; "
+                f"{TagCode(group, element_number)} after "
+                f"{TagCode(previous >> 16, previous & 0xFFFF)}; "
                 "strictly ascending required"
             )
         previous = code
-        yield group, element_number, offset, end
+        spans.append((group, element_number, offset, end))
         offset = end
+    return spans
 
 
 def decode_object(data: bytes) -> DataObject:
-    # "<HH" yields only 16-bit values, so TagCode's range check is skipped
-    return DataObject(tuple(
-        Element(TagCode._make((group, element)), data[start:end])
+    # "<HH" yields only 16-bit values, so TagCode's range check is skipped,
+    # and Element has none: both are built as the tuples they are
+    new = tuple.__new__
+    return DataObject(tuple([
+        new(Element, (new(TagCode, (group, element)), data[start:end]))
         for group, element, start, end in _element_spans(data)
-    ))
+    ]))
 
 
 # key position in _QueryIndex of each query tag

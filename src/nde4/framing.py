@@ -21,6 +21,7 @@ import json
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Callable, Mapping
 
 from .errors import Nde4Error
@@ -40,6 +41,11 @@ class Channel(IntEnum):
     ORDERS = 1
     ARCHIVE = 2
     SOVEREIGN = 3
+
+
+# channel byte -> member, looked up per frame instead of calling Channel()
+_CHANNELS = {int(channel): channel for channel in Channel}
+_HEADER = struct.Struct("<BBI")  # version, channel, payload length
 
 
 class BadMagic(Nde4Error):
@@ -69,15 +75,16 @@ class Frame:
 
 
 def encode_frame(channel: Channel, payload: bytes) -> bytes:
-    channel = Channel(channel)
-    if channel == Channel.ORDERS and len(payload) > ORDERS_PAYLOAD_LIMIT:
+    if type(channel) is not Channel:  # an unhashable value must reach Channel()
+        channel = Channel(channel)
+    if channel is Channel.ORDERS and len(payload) > ORDERS_PAYLOAD_LIMIT:
         raise OversizedPayload(
             f"ORDERS payload {len(payload)} bytes exceeds cap "
             f"{ORDERS_PAYLOAD_LIMIT}"
         )
     if len(payload) > 0xFFFFFFFF:
         raise OversizedPayload(f"payload {len(payload)} bytes exceeds u32 length")
-    return MAGIC + struct.pack("<BBI", VERSION, channel, len(payload)) + payload
+    return MAGIC + _HEADER.pack(VERSION, channel, len(payload)) + payload
 
 
 def decode_frame(data: bytes) -> Frame:
@@ -85,18 +92,17 @@ def decode_frame(data: bytes) -> Frame:
         raise LengthMismatch(f"frame shorter than header: {len(data)} bytes")
     if data[:4] != MAGIC:
         raise BadMagic(f"expected {MAGIC!r}, got {data[:4]!r}")
-    version, channel_byte, length = struct.unpack("<BBI", data[4:HEADER_SIZE])
+    version, channel_byte, length = _HEADER.unpack_from(data, 4)
     if version != VERSION:
         raise BadVersion(f"expected version {VERSION}, got {version}")
-    try:
-        channel = Channel(channel_byte)
-    except ValueError:
-        raise UnknownChannel(f"channel byte {channel_byte:#x}") from None
+    channel = _CHANNELS.get(channel_byte)
+    if channel is None:
+        raise UnknownChannel(f"channel byte {channel_byte:#x}")
     if len(data) - HEADER_SIZE != length:
         raise LengthMismatch(
             f"length field {length}, actual payload {len(data) - HEADER_SIZE}"
         )
-    if channel == Channel.ORDERS and length > ORDERS_PAYLOAD_LIMIT:
+    if channel is Channel.ORDERS and length > ORDERS_PAYLOAD_LIMIT:
         raise OversizedPayload(
             f"ORDERS payload {length} bytes exceeds cap {ORDERS_PAYLOAD_LIMIT}"
         )
@@ -105,9 +111,21 @@ def decode_frame(data: bytes) -> Frame:
 
 # --- canonical JSON and the ARCHIVE/SOVEREIGN request/response convention ---
 
-# json.dumps builds a new encoder per call; one encoder holds no per-call
-# state (encode() makes its own circular-reference markers), so it is shared
-_CANONICAL_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+class _CanonicalEncoder(json.JSONEncoder):
+    """json.JSONEncoder.encode without its Python layers: the C encoder that
+    iterencode would build, called at once. Each call makes its own
+    circular-reference markers, so one encoder is shared by every thread."""
+
+    def encode(self, document) -> str:
+        return "".join(c_make_encoder(
+            {}, self.default, encode_basestring_ascii, self.indent,
+            self.key_separator, self.item_separator, self.sort_keys,
+            self.skipkeys, self.allow_nan,
+        )(document, 0))
+
+
+# json.dumps builds a new encoder per call; this one is built once
+_CANONICAL_ENCODER = _CanonicalEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def canonical_json(document) -> bytes:

@@ -13,7 +13,6 @@ import datetime as _dt
 from .errors import Nde4Error
 
 DATETIME_LENGTH = 15
-DATETIME_FORMAT = "%Y%m%dT%H%M%S"
 
 # tick 0 of every run
 EPOCH = _dt.datetime(2020, 1, 1, 0, 0, 0)
@@ -26,8 +25,11 @@ class BadDatetime(Nde4Error):
 
 def format_tick(tick: int) -> str:
     """Render a logical tick as the canonical 15-char DATETIME text."""
-    moment = EPOCH + _dt.timedelta(seconds=tick)
-    return moment.strftime(DATETIME_FORMAT)
+    moment = EPOCH + _dt.timedelta(seconds=tick)  # OverflowError out of range
+    return "%04d%02d%02dT%02d%02d%02d" % (
+        moment.year, moment.month, moment.day,
+        moment.hour, moment.minute, moment.second,
+    )
 
 
 def parse_datetime(text: str) -> int:
