@@ -1002,6 +1002,10 @@ class _Engine:
     # --- reactions -----------------------------------------------------------------
 
     def _on_status(self, order_id: str, state: OrderState) -> None:
+        if state == OrderState.REJECTED:
+            # a rejected order stored nothing to exchange: none of its
+            # exchanges will run, so none is waited for
+            self._pending_exchanges -= len(self._exchanges_by_order.get(order_id, ()))
         if state != OrderState.REPORTED:
             return
         plan = self._order_plan.get(order_id)

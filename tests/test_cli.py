@@ -139,6 +139,24 @@ def test_sim_run_reports_gaps_with_findings_exit(tmp_path, capsys):
     assert report["rami_gaps"] == ["INFORMATION/INST_USE/CONNECTED_WORLD"]
 
 
+def test_sim_run_rejected_order_with_an_exchange_exits_with_findings(tmp_path, capsys):
+    # ORD-7 carries an exchange; needing two archived refs rejects it
+    scenario = tmp_path / "short.scen"
+    text = (SCENARIO_DIR / "fullchain.scen").read_text()
+    old = '"rejectThreshold": 60.0, "minRefs": 1}'
+    assert text.count(old) == 1
+    scenario.write_text(text.replace(old, '"rejectThreshold": 60.0, "minRefs": 2}'))
+    code, out, _ = run_cli(
+        capsys, "sim", "run",
+        "--scenario", str(scenario),
+        "--out", str(tmp_path / "out"),
+    )
+    assert code == EXIT_FINDINGS
+    assert "deadlock:" not in out
+    report = json.loads((tmp_path / "out" / "short.report.json").read_text())
+    assert (report["reported"], report["rejected"]) == (3, 1)
+
+
 def test_sim_run_deadlock_is_runtime_error_with_partial_trace(tmp_path, capsys):
     scenario = tmp_path / "stuck.scen"
     document = json.loads((SCENARIO_DIR / "demo.scen").read_text())

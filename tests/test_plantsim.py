@@ -647,6 +647,27 @@ def test_exchange_without_sovereignty_deadlocks(tmp_path):
     assert info.value.trace_lines
 
 
+def test_rejected_order_leaves_no_exchange_pending(tmp_path):
+    # ORD-7 of fullchain.scen has an exchange; asking its procedure for one
+    # more archived ref than it stores rejects it at its gateway step
+    text = (Path(__file__).resolve().parent.parent / "scenarios" / "fullchain.scen").read_text()
+    old = '"rejectThreshold": 60.0, "minRefs": 1}'
+    assert text.count(old) == 1
+    config = load_scenario(text.replace(old, '"rejectThreshold": 60.0, "minRefs": 2}'))
+    result = run_scenario(config, tmp_path / "r")
+    assert result.report["reported"] == 3
+    assert result.report["rejected"] == 1
+    assert result.bus.order_state("ORD-7") == OrderState.REJECTED
+    events = [json.loads(line) for line in result.trace_lines]
+    offered = {event["data"]["uid"] for event in events if event["kind"] == "offer"}
+    rejected = {
+        uid for uid in result.archive.uids()
+        if result.archive.fetch(uid).order_id == "ORD-7"
+    }
+    assert offered and rejected  # the other exchange still runs
+    assert not offered & rejected
+
+
 def test_drop_gateway_strands_orders(tmp_path):
     config = base_config(faults=(FaultSpec(FAULT_DROP_GATEWAY),))
     with pytest.raises(ScenarioDeadlock) as info:
