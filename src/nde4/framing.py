@@ -75,7 +75,7 @@ class Frame:
 
 
 def encode_frame(channel: Channel, payload: bytes) -> bytes:
-    if type(channel) is not Channel:  # an unhashable value must reach Channel()
+    if type(channel) is not Channel:  # Channel() raises what it always has
         channel = Channel(channel)
     if channel is Channel.ORDERS and len(payload) > ORDERS_PAYLOAD_LIMIT:
         raise OversizedPayload(
