@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import itertools
 import json
 import os
 import random
@@ -46,6 +47,29 @@ from nde4.semantics import (
     TAG_COMPONENT_SERIAL, TAG_METHOD_CODE, TAG_ORDER_ID, EncodingError, TagCode,
 )
 from nde4.timebase import LogicalClock
+
+
+def test_element_compares_like_its_pair():
+    # oracle: plain ((group, element), value) pairs; small values force ties
+    rng = random.Random(911)
+    pairs = [
+        ((rng.choice((0, 8, 0xFFFF)), rng.randrange(3)), rng.choice((b"", b"a", b"b", b"ab")))
+        for _ in range(50)
+    ]
+    elements = [Element(TagCode(*code), value) for code, value in pairs]
+    for (a, pa), (b, pb) in itertools.product(zip(elements, pairs), repeat=2):
+        assert (a == b) == (pa == pb)
+        assert (a != b) == (pa != pb)
+        assert (a < b) == (pa < pb)
+        assert (a <= b) == (pa <= pb)
+        assert (hash(a) == hash(b)) == (hash(pa) == hash(pb))
+    assert [(tuple(e.code), e.value) for e in sorted(elements)] == sorted(pairs)
+    element = Element(TagCode(0x0010, 0x0001), b"SN")
+    assert repr(element) == "Element(code=TagCode(group=16, element=1), value=b'SN')"
+    # decode builds the same types as the constructors do
+    decoded = decode_object(encode_object(DataObject((element,)))).elements
+    assert decoded == (element,)
+    assert type(decoded[0]) is Element and type(decoded[0].code) is TagCode
 
 
 def test_encode_layout():
@@ -99,6 +123,18 @@ def test_decode_rejects_out_of_order_bytes():
     raw += struct.pack("<HHI", 0x0008, 0x0001, 3) + b"uid"
     with pytest.raises(NonCanonicalOrder):
         decode_object(raw)
+    # the message names both codes; the extremes of the 16-bit range included
+    for first, second in (((0x0010, 0x0001), (0x0008, 0x0001)),
+                          ((0x0008, 0x0002), (0x0008, 0x0001)),
+                          ((0x0008, 0x0001), (0x0008, 0x0001)),
+                          ((0xFFFF, 0xFFFF), (0x0000, 0x0000)),
+                          ((0x0000, 0x0000), (0x0000, 0x0000))):
+        raw = raw_object([(TagCode(*first), b"a"), (TagCode(*second), b"b")])
+        with pytest.raises(NonCanonicalOrder) as info:
+            decode_object(raw)
+        assert str(info.value) == (
+            f"{TagCode(*second)} after {TagCode(*first)}; strictly ascending required"
+        )
 
 
 def test_decode_bad_preamble_and_version():
@@ -114,8 +150,8 @@ def test_decode_truncation_reports_offset():
     raw = b"NDEO\x01" + struct.pack("<HHI", 0x0008, 0x0001, 10) + b"short"
     with pytest.raises(TruncatedElement) as info:
         decode_object(raw)
-    assert "at byte" in str(info.value)
-    with pytest.raises(TruncatedElement):
+    assert str(info.value) == "value of (0008,0001) cut short at byte 13: need 10 bytes, have 5"
+    with pytest.raises(TruncatedElement, match="^element header cut short at byte 5$"):
         decode_object(b"NDEO\x01" + b"\x08\x00")  # header cut short
 
 

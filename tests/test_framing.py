@@ -43,6 +43,17 @@ def test_channel_bytes():
     assert Channel.ORDERS.value == 1
     assert Channel.ARCHIVE.value == 2
     assert Channel.SOVEREIGN.value == 3
+    # encode_frame takes what Channel() takes and refuses what it refuses
+    for given, member in ((2, Channel.ARCHIVE), (Channel.SOVEREIGN, Channel.SOVEREIGN),
+                          (True, Channel.ORDERS)):
+        assert encode_frame(given, b"x") == encode_frame(member, b"x")
+        assert decode_frame(encode_frame(given, b"x")).channel is member
+    for invalid in (0, 4, 256, -1, "1", None, [1]):
+        with pytest.raises(ValueError) as expected:
+            Channel(invalid)
+        with pytest.raises(ValueError) as got:
+            encode_frame(invalid, b"x")
+        assert str(got.value) == str(expected.value)
 
 
 def test_round_trip_all_channels():
@@ -99,6 +110,16 @@ def test_unknown_channel():
     raw[5] = 0x09
     with pytest.raises(UnknownChannel):
         decode_frame(bytes(raw))
+    # oracle: Channel() on every byte value
+    for byte in range(256):
+        raw[5] = byte
+        try:
+            member = Channel(byte)
+        except ValueError:
+            with pytest.raises(UnknownChannel, match=f"channel byte {byte:#x}$"):
+                decode_frame(bytes(raw))
+        else:
+            assert decode_frame(bytes(raw)).channel is member
 
 
 def test_length_mismatch_short_and_long():

@@ -40,6 +40,7 @@ from nde4.archive import (
     ArchiveWire,
     ChainRecord,
     DataObject,
+    Element,
     decode_object,
     encode_object,
     parse_chain_line,
@@ -173,8 +174,8 @@ def document_mutants(rng: random.Random, data: bytes, count: int) -> list[bytes]
 # --- the decoder rule --------------------------------------------------------------
 
 def holds(value, hint) -> bool:
-    """Whether `value` holds the annotated type `hint`, nested dataclass
-    fields included; an int is no float and a bool is no int."""
+    """Whether `value` holds the annotated type `hint`, nested dataclass and
+    NamedTuple fields included; an int is no float and a bool is no int."""
     origin, arguments = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(holds(value, argument) for argument in arguments)
@@ -191,11 +192,20 @@ def holds(value, hint) -> bool:
     if not isinstance(value, hint):
         return False
     if dataclasses.is_dataclass(hint):
-        hints = typing.get_type_hints(hint)
-        return all(
-            holds(getattr(value, f.name), hints[f.name]) for f in dataclasses.fields(hint)
-        )
-    return True
+        names = [f.name for f in dataclasses.fields(hint)]
+    else:  # a NamedTuple (TagCode, Element) names its fields in _fields
+        names = getattr(hint, "_fields", ())
+    hints = typing.get_type_hints(hint) if names else {}
+    return all(holds(getattr(value, name), hints[name]) for name in names)
+
+
+def test_holds_checks_named_tuple_fields():
+    code = TagCode(0x0008, 0x0001)
+    assert holds(Element(code, b"x"), Element)
+    assert not holds(Element((0x0008, 0x0001), b"x"), Element)  # a pair, no TagCode
+    assert not holds(Element(code, "x"), Element)
+    assert not holds(tuple.__new__(TagCode, (0x0008, 1.0)), TagCode)
+    assert not holds(DataObject((Element(code, bytearray(b"x")),)), DataObject)
 
 
 def covers(encoded, original) -> bool:

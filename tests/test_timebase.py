@@ -22,15 +22,56 @@ def test_epoch_is_tick_zero():
     assert parse_datetime(EPOCH_TEXT) == 0
 
 
+EPOCH = datetime.datetime(2020, 1, 1)
+
+
+def tick_of(moment: datetime.datetime) -> int:
+    delta = moment - EPOCH  # whole seconds: total_seconds() rounds far from 2020
+    return delta.days * 86_400 + delta.seconds
+
+
 def test_round_trip_against_datetime_oracle():
-    # oracle: stdlib datetime arithmetic from the same epoch
-    epoch = datetime.datetime(2020, 1, 1)
-    for tick in [1, 59, 60, 3600, 86_400, 31_536_000, 123_456_789]:
+    # oracle: stdlib datetime arithmetic from the same epoch, and strftime,
+    # whose %Y pads to four digits only from year 1000 on (glibc)
+    rng = random.Random(1000)
+    first, last = tick_of(datetime.datetime(1000, 1, 1)), tick_of(datetime.datetime.max)
+    ticks = [1, 59, 60, 3600, 86_400, 31_536_000, 123_456_789, -1, -86_400, first, last]
+    ticks += [rng.randrange(first, last + 1) for _ in range(10_000)]
+    ticks += [rng.randrange(-400 * 86_400, 40 * 365 * 86_400) for _ in range(10_000)]
+    ticks += [day * 86_400 - 1 for day in range(-40, 4000, 7)]  # last second of a day
+    for year in (1000, 1999, 2019, 2020, 2023, 2024, 2099, 2100, 9998):
+        end = tick_of(datetime.datetime(year + 1, 1, 1))  # year ends
+        ticks += [end - 1, end]
+    for moment in ("20200228T235959", "20200229T000000", "20200229T235959",
+                   "20200301T000000", "20240229T120000"):
+        ticks.append(tick_of(datetime.datetime.strptime(moment, "%Y%m%dT%H%M%S")))
+    assert len(ticks) > 20_000
+    for tick in ticks:
         text = format_tick(tick)
-        oracle = (epoch + datetime.timedelta(seconds=tick)).strftime("%Y%m%dT%H%M%S")
+        oracle = (EPOCH + datetime.timedelta(seconds=tick)).strftime("%Y%m%dT%H%M%S")
         assert text == oracle
         assert len(text) == DATETIME_LENGTH
-        assert parse_datetime(text) == tick
+        if tick >= 0:
+            assert parse_datetime(text) == tick
+        else:  # the text of a moment before the epoch does not parse
+            assert not is_valid_datetime(text)
+    assert format_tick(tick_of(datetime.datetime(2020, 2, 29, 23, 59, 59))) == "20200229T235959"
+
+
+def test_format_tick_pads_years_before_1000():
+    # strftime writes year 499 as "499": 14 characters, where the layout has 15
+    tick = tick_of(datetime.datetime(499, 12, 31, 9, 36))
+    assert format_tick(tick) == "04991231T093600"
+    assert format_tick(tick_of(datetime.datetime.min)) == "00010101T000000"
+
+
+@pytest.mark.parametrize(
+    "tick",
+    [tick_of(datetime.datetime.max) + 1, tick_of(datetime.datetime.min) - 1, 10**18, -(10**18)],
+)
+def test_format_tick_out_of_range_raises_overflow(tick):
+    with pytest.raises(OverflowError):
+        format_tick(tick)
 
 
 @pytest.mark.parametrize(
