@@ -19,10 +19,11 @@ verify_chain reports them, and the next store cuts them off. There is no
 delete operation on the public surface, by design.
 
 Cost model: opening a store reads only "chain.log". The first fetch, query
-or store after an open reads the segment once, in order, to find each
-record's (offset, length) and check its digest; the first query builds the
-index of each object's order id, component serial and method in that same
-read, walking only element headers and decoding only the three key values.
+or store after an open reads the segment, in order, to find each record's
+(offset, length) and check its digest. The first query builds the index of
+each object's order id, component serial and method in a read of its own,
+walking every object's elements and decoding only the three key values: a
+query that follows a fetch or store reads and digests the segment again.
 Later fetches read one record each, later stores append one record and
 extend the index, and later queries read nothing.
 """
