@@ -144,5 +144,5 @@ def test_wire_bytes_match_the_pinned_digest(scenario, seed, fault, tmp_path):
         config = inject_fault(config, FaultSpec(fault))
     result = run_scenario(config, tmp_path / "data")
     assert result.sovereign_frames or scenario == "demo.scen"  # demo runs no exchange
-    digest = wire_digest(result.sovereign_frames, result.orders_frame_sizes)
-    assert digest == WIRE_GOLDEN[scenario, seed, fault]
+    wire = wire_digest(result.sovereign_frames, result.orders_frame_sizes)
+    assert wire == WIRE_GOLDEN[scenario, seed, fault]
