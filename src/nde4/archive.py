@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import Nde4Error, ValidationFailed
-from .framing import NULL, OP_ERROR, canonical_json, dispatch, json_object, json_table
+from .framing import NULL, OP_ERROR, canonical_json, dispatch, json_body
 from .semantics import (
     DICT_V1,
     TAG_COMPONENT_SERIAL,
@@ -617,8 +617,8 @@ class ArchiveWire:
     def __init__(self, archive: Archive):
         self._archive = archive
         # FETCH and QUERY bodies; each QUERY criterion a string, null if omitted
-        self._fetch_body = json_table(archive.fetch_bytes, (("uid", "uid", str),))
-        self._query_body = json_table(archive.query, (
+        self._fetch_body = json_body(archive.fetch_bytes, (("uid", "uid", str),))
+        self._query_body = json_body(archive.query, (
             ("order_id", "orderId", {str: str, NULL: NULL}),
             ("component_serial", "componentSerial", {str: str, NULL: NULL}),
             ("method", "method", {str: str, NULL: NULL}),
@@ -633,8 +633,8 @@ class ArchiveWire:
         return bytes([OP_RESULT]) + canonical_json({"uid": uid})
 
     def _fetch(self, body: bytes) -> bytes:
-        return bytes([OP_RESULT]) + self._fetch_body(json_object(body))
+        return bytes([OP_RESULT]) + self._fetch_body(body)
 
     def _query(self, body: bytes) -> bytes:
-        uids = self._query_body(json_object(body))
+        uids = self._query_body(body)
         return bytes([OP_RESULT]) + canonical_json({"uids": list(uids)})

@@ -115,12 +115,10 @@ class Subscription:
         self.topic = topic
         self._events: deque[tuple[int, StatusEvent]] = deque()
         self._lock = threading.Lock()
-        self.active = True
 
     def _offer(self, seq: int, event: StatusEvent) -> None:
         with self._lock:
-            if self.active:
-                self._events.append((seq, event))
+            self._events.append((seq, event))
 
     def take(self) -> tuple[int, StatusEvent] | None:
         with self._lock:
@@ -154,10 +152,6 @@ class OrdersBus:
         self._lock = threading.Lock()
 
     # --- plumbing -------------------------------------------------------
-
-    def add_procedure(self, procedure: Procedure) -> None:
-        with self._lock:
-            self._procedures[procedure.procedure_id] = procedure
 
     def procedure(self, procedure_id: str) -> Procedure | None:
         with self._lock:
@@ -283,8 +277,7 @@ class OrdersBus:
             receivers = [
                 sub
                 for sub in self._subscriptions
-                if sub.active
-                and sub.topic in (WILDCARD_TOPIC, event.order_id)
+                if sub.topic in (WILDCARD_TOPIC, event.order_id)
             ]
         for sub in receivers:
             sub._offer(seq, event)
@@ -294,12 +287,6 @@ class OrdersBus:
         with self._lock:
             self._subscriptions.append(sub)
         return sub
-
-    def unsubscribe(self, sub: Subscription) -> None:
-        with self._lock:
-            sub.active = False
-            if sub in self._subscriptions:
-                self._subscriptions.remove(sub)
 
     def report_values(self, rv: ReportedValues) -> str:
         problems = list(validate_report(rv))

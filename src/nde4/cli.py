@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .archive import Archive, data_dir, decode_object, CHAIN_FILE
 from .errors import Nde4Error
+from .framing import JsonTypeError, json_object
 from .rami import RamiCoordinate, coverage_check, gaps_text, locate
 from .registry import manifest_from_dict, validate_manifest
 from .plantsim import ScenarioDeadlock, load_scenario, run_scenario, TRACE_SUFFIX
@@ -201,12 +202,13 @@ def cmd_validate_shell(args) -> CommandResult:
     except (OSError, UnicodeDecodeError) as exc:
         return CommandResult(EXIT_RUNTIME, f"cannot read manifest: {exc}")
     try:
-        document = json.loads(text)
-    except json.JSONDecodeError as exc:
-        return CommandResult(
-            EXIT_RUNTIME, f"manifest parse failed at byte {exc.pos}: {exc.msg}"
-        )
-    except (ValueError, RecursionError) as exc:  # a huge int, too deep
+        document = json_object(text)
+    except JsonTypeError as exc:
+        cause = exc.__cause__  # a syntax error has the offset; others do not
+        if isinstance(cause, json.JSONDecodeError):
+            return CommandResult(
+                EXIT_RUNTIME, f"manifest parse failed at byte {cause.pos}: {cause.msg}"
+            )
         return CommandResult(EXIT_RUNTIME, f"manifest parse failed: {exc}")
     try:
         manifest = manifest_from_dict(document)

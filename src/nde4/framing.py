@@ -9,15 +9,17 @@ the archive channel, and silently chunking would defeat that routing.
 
 ARCHIVE and SOVEREIGN payloads share one request/response convention,
 implemented once here: 1-byte opcode + body, canonical JSON, and failures
-answered as ERROR + {"code", "detail"}. JSON documents read through key
-tables share one JSON type rule, also here; tests/test_mutation.py holds
-every decoder and both request wires to it on seeded mutations.
+answered as ERROR + {"code", "detail"}. Every JSON document read from
+outside goes through one reader, json_object, and through key tables that
+share one JSON type rule, also here; tests/test_mutation.py holds every
+decoder and both request wires to both on seeded mutations.
 """
 
 from __future__ import annotations
 
 import inspect
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -133,15 +135,40 @@ def canonical_json(document) -> bytes:
     return _CANONICAL_ENCODER.encode(document).encode("utf-8")
 
 
-def json_object(body: bytes) -> dict:
-    """Decode a UTF-8 JSON object body; JsonTypeError for anything else."""
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):  # a literal past the float range, such as 1e400
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+# json.loads with a hook builds a new decoder per call; this one is built once
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_no_constant)
+
+
+def json_object(document: bytes | str) -> dict:
+    """The one reader of outside JSON: one JSON object, as strict UTF-8 bytes
+    or as text, with finite numbers only; JsonTypeError for anything else.
+    A parse failure keeps its cause (a json.JSONDecodeError has the offset)."""
     try:
-        document = json.loads(body.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-        raise JsonTypeError(f"not a UTF-8 JSON document: {exc}") from None
-    if type(document) is not dict:
-        raise _expected(dict, document)
-    return document
+        text = document.decode("utf-8") if type(document) is bytes else document
+        value = _DECODER.decode(text)
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep,
+        # an int past the digit limit, or a number that is not finite
+        raise JsonTypeError(f"not a UTF-8 JSON document: {exc}") from exc
+    if type(value) is not dict:
+        raise _expected(dict, value)
+    return value
+
+
+def json_body(make: Callable, rows: tuple) -> Callable[[bytes], object]:
+    """Reader of a request or answer body through the key table `rows`."""
+    build = json_table(make, rows)
+    return lambda body: build(json_object(body))
 
 
 def error_payload(code: str, detail: str, opcode: int = OP_ERROR) -> bytes:
@@ -215,7 +242,10 @@ def _json_value(value, kind):
     if type(value) is kind:
         return value
     if kind is float and type(value) is int:
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # the reader takes finite numbers only
+            raise JsonTypeError("int past the float range") from None
     if type(kind) is dict:
         if type(value) not in kind:
             raise _expected(kind, value)

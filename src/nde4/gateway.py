@@ -10,7 +10,6 @@ nothing is silently dropped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib.resources import files
@@ -133,21 +132,6 @@ def order_to_archive_work(
     if leftovers:
         elements[UNMAPPED_BLOB_TAG] = canonical_json(leftovers)
     return tuple(Element(code, elements[code]) for code in sorted(elements))
-
-
-def extract_order_fields(
-    elements: tuple[Element, ...] | list[Element],
-    mapping: MappingTable = MAPPING_V1,
-) -> dict[str, str]:
-    """Inverse of order_to_archive_work over mapped fields and the blob."""
-    fields: dict[str, str] = {}
-    for element in elements:
-        field_name = mapping.field_for(element.code)
-        if field_name is not None:
-            fields[field_name] = element.value.decode("utf-8")
-        elif element.code == UNMAPPED_BLOB_TAG:
-            fields.update(json.loads(element.value.decode("utf-8")))
-    return fields
 
 
 @dataclass(frozen=True, slots=True)

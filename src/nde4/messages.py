@@ -7,6 +7,7 @@ document field name here is normative; see docs/FORMATS.md.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Union
@@ -109,7 +110,7 @@ def validate_order(order: InspectionOrder) -> tuple[str, ...]:
         problems.append(f"procedure_id not a valid token: {order.procedure_id!r}")
     if not is_valid_datetime(order.due):
         problems.append(f"due not a valid datetime: {order.due!r}")
-    if not isinstance(order.priority, int) or order.priority < 0:
+    if type(order.priority) is not int or order.priority < 0:  # a bool is no int
         problems.append(f"priority must be a non-negative integer: {order.priority!r}")
     if order.station is not None and not isinstance(order.station, InstanceId):
         problems.append("station must be an InstanceId or None")
@@ -122,15 +123,18 @@ def validate_report(rv: ReportedValues) -> tuple[str, ...]:
         problems.append(f"order_id not a valid id token: {rv.order_id!r}")
     if not isinstance(rv.verdict, Verdict):
         problems.append(f"verdict must be a Verdict: {rv.verdict!r}")
-    if not isinstance(rv.indication_count, int) or rv.indication_count < 0:
+    if type(rv.indication_count) is not int or rv.indication_count < 0:
         problems.append(f"indication_count must be >= 0: {rv.indication_count!r}")
     elif rv.verdict == Verdict.REJECT and rv.indication_count < 1:
         problems.append("REJECT verdict requires at least one indication")
     for ref in rv.archived_refs:
         if not is_id_token(ref):
             problems.append(f"archived ref not a valid object UID: {ref!r}")
-    if rv.max_amplitude is not None and not isinstance(rv.max_amplitude, (int, float)):
-        problems.append(f"max_amplitude must be numeric: {rv.max_amplitude!r}")
+    amplitude = rv.max_amplitude  # NaN, infinity and ints past a float fail the range
+    if amplitude is not None and (
+        type(amplitude) not in (int, float) or not abs(amplitude) <= sys.float_info.max
+    ):
+        problems.append(f"max_amplitude must be a finite number: {amplitude!r}")
     for key, value in rv.extras.items():
         if key not in ("notes", "payloadRef") or type(value) is not str:
             problems.append(f"extra {key!r} is not a notes or payloadRef string: {value!r}")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import random
 import struct
 from dataclasses import dataclass, replace
@@ -27,7 +26,8 @@ from .archive import SEGMENT_FILE, Archive, DataObject, Element
 from .bus import OrdersBus, Procedure, UnknownStation, WrongState as BusWrongState
 from .errors import Nde4Error
 from .framing import (
-    HEADER_SIZE, OversizedPayload, canonical_json, json_list, json_table,
+    HEADER_SIZE, JsonTypeError, OversizedPayload, canonical_json, json_list,
+    json_object, json_table,
 )
 from .gateway import (
     Indication,
@@ -337,8 +337,8 @@ _SCENARIO = json_table(ScenarioConfig, (
 def load_scenario(text: str, seed_override: int | None = None) -> ScenarioConfig:
     """Parse and validate a scenario document; raises ConfigInvalid."""
     try:
-        document = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # not JSON, a huge int, too deep
+        document = json_object(text)
+    except JsonTypeError as exc:
         raise ConfigInvalid(f"scenario not parseable: {exc}") from exc
     try:
         config = _SCENARIO(document)

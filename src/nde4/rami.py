@@ -117,32 +117,15 @@ def load_loci_tsv(text: str) -> tuple[ComponentLocus, ...]:
 DEFAULT_LOCI = load_loci_tsv(
     files("nde4").joinpath("data/rami-loci.tsv").read_text("utf-8")
 )
+_LOCI = {locus.component: locus for locus in DEFAULT_LOCI}  # by component name
 
 
-class LociRegistry:
-    def __init__(self, loci: Iterable[ComponentLocus] = DEFAULT_LOCI):
-        self._loci: dict[str, ComponentLocus] = {}
-        for locus in loci:
-            self.register(locus)
+def locate(component: str) -> ComponentLocus:
+    locus = _LOCI.get(component)
+    if locus is None:
+        raise UnknownComponent(component)
+    return locus
 
-    def register(self, locus: ComponentLocus) -> None:
-        self._loci[locus.component] = locus
-
-    def locate(self, component: str) -> ComponentLocus:
-        locus = self._loci.get(component)
-        if locus is None:
-            raise UnknownComponent(component)
-        return locus
-
-    def components(self) -> tuple[str, ...]:
-        return tuple(self._loci)
-
-
-def locate(component: str, registry: LociRegistry | None = None) -> ComponentLocus:
-    return (registry or _DEFAULT_REGISTRY).locate(component)
-
-
-_DEFAULT_REGISTRY = LociRegistry()
 
 ORDERS_BUS_LOCUS = locate("orders-bus")
 GATEWAY_LOCUS = locate("gateway")

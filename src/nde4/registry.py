@@ -18,7 +18,7 @@ from collections.abc import Container, Iterable
 from dataclasses import dataclass, field, replace
 
 from .errors import Nde4Error
-from .framing import JsonTypeError, json_list, json_table
+from .framing import JsonTypeError, json_list, json_object, json_table
 from .identity import InstanceId, TypeId, id_text
 from .semantics import (
     DICT_V1,
@@ -240,40 +240,6 @@ class Registry:
         with self._lock:
             return tuple(self._order)
 
-    def find_by_type(self, type_id: TypeId) -> tuple[InstanceId, ...]:
-        with self._lock:
-            return tuple(
-                instance
-                for instance in self._order
-                if self._shells[instance].header.shell_type_id == type_id
-            )
-
-    def descendants(self, instance: InstanceId) -> tuple[InstanceId, ...]:
-        """All shells reachable through registered child edges, preorder."""
-        with self._lock:
-            if instance not in self._shells:
-                raise UnknownShell(f"not registered: {instance}")
-            out: list[InstanceId] = []
-            seen: set[InstanceId] = {instance}
-            stack = [
-                child
-                for child in reversed(self._shells[instance].body.child_shells)
-                if child in self._shells
-            ]
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                out.append(node)
-                stack.extend(
-                    child
-                    for child in reversed(self._shells[node].body.child_shells)
-                    if child in self._shells
-                )
-            return tuple(out)
-
-    # caller holds the lock
     def _path(
         self, starts: Iterable[InstanceId], goal: InstanceId
     ) -> list[InstanceId] | None:
@@ -372,7 +338,7 @@ def dump_manifest(manifest: Manifest) -> str:
 
 def load_manifest(text: str) -> Manifest:
     try:
-        document = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # not JSON, a huge int, too deep
+        document = json_object(text)
+    except JsonTypeError as exc:
         raise ValueError(f"malformed manifest document: {exc}") from exc
     return manifest_from_dict(document)

@@ -25,7 +25,7 @@ from .archive import Archive, DataObject, UnknownUID, append_line, decode_object
 from .errors import Nde4Error
 from .framing import (
     NULL, OP_ERROR, Channel, canonical_json, decode_frame, dispatch, encode_frame,
-    error_payload, json_object, json_table, serve_frame,
+    error_payload, json_body, json_table, serve_frame,
 )
 from .identity import InstanceId
 from .semantics import is_id_token
@@ -186,12 +186,6 @@ _FORWARD_BODY = _SENDER_BODY + (
 )
 
 
-def _json_body(make: Callable, rows: tuple) -> Callable[[bytes], object]:
-    """Reader of a JSON body through the key table `rows`."""
-    build = json_table(make, rows)
-    return lambda body: build(json_object(body))
-
-
 def _policy_to_wire(policy: UsagePolicy) -> dict:
     return {key: getattr(policy, name) for name, key, _ in policy_from_wire.rows}
 
@@ -234,15 +228,15 @@ _OP_NAMES = {OP_OFFER: "OFFER", OP_ACCEPT: "ACCEPT", OP_CONSUME: "CONSUME",
 # SOVEREIGN answers a client reads, one key table each (docs/FORMATS.md).
 # An ERROR or DENY body gives the audit detail "<code>: <detail>" and the
 # error to raise, of the class the code names (else Nde4Error).
-_FAILURE_BODY = _json_body(
+_FAILURE_BODY = json_body(
     lambda code, detail: (f"{code}: {detail}", _WIRE_ERRORS.get(code, Nde4Error)(detail)),
     (("code", "code", str), ("detail", "detail", str)),
 )
-_DATA_HEADER = _json_body(lambda contract_id, exhausted: exhausted, (
+_DATA_HEADER = json_body(lambda contract_id, exhausted: exhausted, (
     ("contract_id", "contractId", str),
     ("exhausted", "exhausted", bool),
 ))
-_FORWARD_GRANT = _json_body(
+_FORWARD_GRANT = json_body(
     lambda contract_id, object_uid, origin, policy: (object_uid, origin, policy),
     (
         ("contract_id", "contractId", str),
@@ -297,10 +291,10 @@ class Connector:
         # trip so the audit trail reflects causal order, not thread scheduling
         self._consume_serial: dict[str, threading.Lock] = {}
         self._handlers = {
-            OP_OFFER: _json_body(self._handle_offer, _OFFER_BODY),
-            OP_ACCEPT: _json_body(self._handle_accept, _SENDER_BODY),
-            OP_CONSUME: _json_body(self._handle_consume, _SENDER_BODY),
-            OP_FORWARD: _json_body(self._handle_forward, _FORWARD_BODY),
+            OP_OFFER: json_body(self._handle_offer, _OFFER_BODY),
+            OP_ACCEPT: json_body(self._handle_accept, _SENDER_BODY),
+            OP_CONSUME: json_body(self._handle_consume, _SENDER_BODY),
+            OP_FORWARD: json_body(self._handle_forward, _FORWARD_BODY),
         }
         self._audit_path: Path | None = None
         if audit_dir is not None:
@@ -439,10 +433,6 @@ class Connector:
 
     # --- consumer side -------------------------------------------------------
 
-    def offered_contracts(self) -> tuple[str, ...]:
-        with self._lock:
-            return tuple(self._mirrors)
-
     def accept(self, contract_id: str) -> None:
         peer = self._provider_peer(contract_id)
         body = canonical_json({"contractId": contract_id, "from": str(self.owner)})
@@ -494,10 +484,6 @@ class Connector:
     def cached(self, contract_id: str) -> bool:
         with self._lock:
             return contract_id in self._cache
-
-    def cache_size(self) -> int:
-        with self._lock:
-            return len(self._cache)
 
     def _provider_peer(self, contract_id: str) -> "Connector":
         with self._lock:

@@ -109,8 +109,12 @@ def test_sim_run_missing_file_is_runtime_error(tmp_path, capsys):
         ('{"sovereignty": "false"}', "sovereignty: expected bool, got str"),
         ('{"seed": ' + "7" * 5000 + "}", "not parseable"),
         ("[" * 100_000, "not parseable"),
+        ('{"noise": {"noiseMax": 1e400}}', "not parseable"),
+        ('{"noise": {"peakLo": NaN}}', "not parseable"),
+        ('{"noise": {"noiseMax": 1' + "0" * 400 + "}}", "noiseMax: int past the float range"),
     ],
-    ids=["not-json", "wrong-shape", "wrong-type", "huge-int", "too-deep"],
+    ids=["not-json", "wrong-shape", "wrong-type", "huge-int", "too-deep",
+         "float-overflow", "nan", "int-past-float"],
 )
 def test_sim_run_malformed_scenario_is_runtime_error(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.scen"

@@ -23,9 +23,12 @@ from nde4.framing import (
     OversizedPayload,
     UnknownChannel,
     VERSION,
+    JsonTypeError,
     canonical_json,
     decode_frame,
     encode_frame,
+    json_object,
+    json_table,
 )
 
 
@@ -206,6 +209,52 @@ def test_no_source_catches_key_error():
             ):
                 catches.append(f"{path.name}:{node.lineno}")
     assert catches == []
+
+
+@pytest.mark.parametrize(
+    "document",
+    [b'{"a": NaN}', b'{"a": Infinity}', b'{"a": [-Infinity]}', b'{"a": 1e400}',
+     b'{"a": -1E+400}', b'{"a": "\xff"}', b"[]", b'"x"', b"{} {}", b"\xef\xbb\xbf{}"],
+)
+def test_json_object_refuses(document):
+    with pytest.raises(JsonTypeError):
+        json_object(document)
+    if document.isascii():  # the same document as text
+        with pytest.raises(JsonTypeError):
+            json_object(document.decode())
+
+
+def test_json_object_reads_text_or_bytes():
+    text = '{"a": [1, -2.5, 1e-400, 1e308], "\u00e9": null}'
+    assert json_object(text) == json_object(text.encode()) == json.loads(text)
+
+
+def test_float_key_refuses_an_int_past_the_float_range():
+    build = json_table(lambda a: a, (("a", "a", float),))
+    assert build({"a": 10**308}) == 1e308
+    with pytest.raises(JsonTypeError, match="^a: int past the float range$"):
+        build({"a": 10**400})
+
+
+def test_only_framing_parses_json():
+    # every JSON document read from outside goes through json_object and its
+    # one decoder; a json.loads elsewhere would keep a parse rule of its own
+    readers = ("loads", "load", "JSONDecoder")
+    found = []
+    for path in sorted(Path(nde4.__file__).parent.glob("*.py")):
+        if path.name == "framing.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if (
+                isinstance(node, ast.Attribute) and node.attr in readers
+                and isinstance(node.value, ast.Name) and node.value.id == "json"
+                or isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] == "json"
+                and any(alias.name in readers for alias in node.names)
+                or isinstance(node, ast.Name) and node.id == "JSONDecoder"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_no_source_writes_unread_state():

@@ -20,7 +20,6 @@ from nde4.gateway import (
     WorkKind,
     archive_result_to_kpis,
     dump_mapping_tsv,
-    extract_order_fields,
     load_mapping_tsv,
     order_to_archive_work,
     route,
@@ -65,12 +64,25 @@ def test_mapping_table_is_bijective():
     assert MAPPING_V1.field_for(TagCode(0x0001, 0x0001)) is None
 
 
+def order_fields(elements) -> dict[str, str]:
+    """The order fields archive elements carry: each mapped tag by its field
+    name, and the unmapped blob's JSON object merged in."""
+    fields = {}
+    for element in elements:
+        name = MAPPING_V1.field_for(element.code)
+        if name is not None:
+            fields[name] = element.value.decode("utf-8")
+        elif element.code == UNMAPPED_BLOB_TAG:
+            fields.update(json.loads(element.value))
+    return fields
+
+
 def test_order_translation_round_trip():
     source = order(station=InstanceId(TypeId("acme", "ut-scanner"), "unit-1"))
     elements = order_to_archive_work(source)
     codes = [e.code for e in elements]
     assert codes == sorted(codes)
-    fields = extract_order_fields(elements)
+    fields = order_fields(elements)
     assert fields["order_id"] == "ORD-7"
     assert fields["component_serial"] == "SN-1"
     assert fields["component_type"] == "urn:nde4:type:acme:pipe-weld"
@@ -141,7 +153,7 @@ def test_metadata_seed_composes_with_object_build(store):
     merged.update({e.code: e.value for e in seed})
     store.store(DataObject.from_values(merged))
     fetched = store.fetch("obj-1")
-    assert extract_order_fields(fetched.elements)["priority"] == "5"
+    assert order_fields(fetched.elements)["priority"] == "5"
 
 
 def test_mapping_tsv_round_trip():

@@ -172,6 +172,7 @@ def test_validate_order_problems():
     assert validate_order(make_order(due="tomorrow"))
     assert validate_order(make_order(priority=-1))
     assert validate_order(make_order(component_serial=""))
+    assert validate_order(make_order(priority=True))  # a bool is no int
 
 
 def test_validate_report_problems():
@@ -183,6 +184,11 @@ def test_validate_report_problems():
     assert validate_report(bad_ref)
     negative = ReportedValues("ORD-7", Verdict.ACCEPT, -1)
     assert validate_report(negative)
+    # a bool is no number, and a number must survive a JSON round trip
+    for count, amplitude in [(True, None), (0, True), (0, float("nan")),
+                             (0, float("inf")), (0, 10**400)]:
+        assert validate_report(ReportedValues("ORD-7", Verdict.ACCEPT, count, amplitude))
+    assert validate_report(ReportedValues("ORD-7", Verdict.ACCEPT, 0, 61)) == ()
 
 
 def test_formats_doc_states_every_message_key():

