@@ -135,19 +135,17 @@ def canonical_json(document) -> bytes:
     return _CANONICAL_ENCODER.encode(document).encode("utf-8")
 
 
-def _finite_float(text: str) -> float:
+def _finite(text: str) -> float:
+    """A float literal, or NaN, Infinity or -Infinity; refused unless finite,
+    so also a literal past the float range, such as 1e400."""
     value = float(text)
-    if math.isinf(value):  # a literal past the float range, such as 1e400
+    if not math.isfinite(value):
         raise ValueError(f"{text} is not a finite number")
     return value
 
 
-def _no_constant(name: str):
-    raise ValueError(f"{name} is not a finite number")
-
-
 # json.loads with a hook builds a new decoder per call; this one is built once
-_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_no_constant)
+_DECODER = json.JSONDecoder(parse_float=_finite, parse_constant=_finite)
 
 
 def json_object(document: bytes | str) -> dict:
