@@ -183,10 +183,9 @@ def standard_mutants(data: bytes) -> list[bytes]:
     else all of it, swapped for each of STANDARD_VALUES. Where a decoder
     takes a number, only the reader's own rule refuses the swapped value."""
     document = json.loads(data)
-    paths = [path for path, _ in _nodes(document)]
-    kinds = [type(_at(document, path)) for path in paths]
-    path = next((paths[kinds.index(kind)] for kind in (float, int) if kind in kinds),
-                paths[min(1, len(paths) - 1)])
+    nodes = list(_nodes(document))
+    numbers = [path for kind in (float, int) for path, value in nodes if type(value) is kind]
+    path = (numbers + [path for path, _ in nodes[1:]] + [()])[0]
     if path:
         _at(document, path[:-1])[path[-1]] = _SLOT
     else:
