@@ -10,9 +10,9 @@ the archive channel, and silently chunking would defeat that routing.
 ARCHIVE and SOVEREIGN payloads share one request/response convention,
 implemented once here: 1-byte opcode + body, canonical JSON, and failures
 answered as ERROR + {"code", "detail"}. Every JSON document read from
-outside goes through one reader, json_object, and through key tables that
-share one JSON type rule, also here; tests/test_mutation.py holds every
-decoder and both request wires to both on seeded mutations.
+outside goes through one reader here, json_object, and then through key
+tables that share one JSON type rule; tests/test_mutation.py holds every
+decoder and both request wires to both rules on seeded mutations.
 """
 
 from __future__ import annotations
