@@ -222,24 +222,28 @@ _WIRE_ERRORS: dict[str, type] = {cls.__name__: cls for cls in (
     PolicyExpired, ForwardProhibited, UnknownUID,
 )}
 
-_OP_NAMES = {OP_OFFER: "OFFER", OP_ACCEPT: "ACCEPT", OP_CONSUME: "CONSUME",
-             OP_FORWARD: "FORWARD"}
-
 # SOVEREIGN answers a client reads, one key table each (docs/FORMATS.md).
 # An ERROR or DENY body gives the audit detail "<code>: <detail>" and the
-# error to raise, of the class the code names (else Nde4Error).
+# error to raise, of the class the code names (else Nde4Error). Every other
+# answer reads to (the contract it names, the value the call returns).
 _FAILURE_BODY = json_body(
     lambda code, detail: (f"{code}: {detail}", _WIRE_ERRORS.get(code, Nde4Error)(detail)),
     (("code", "code", str), ("detail", "detail", str)),
 )
-_DATA_HEADER = json_body(lambda contract_id, exhausted: exhausted, (
-    ("contract_id", "contractId", str),
-    ("exhausted", "exhausted", bool),
-))
+_CONTRACT_ID = ("contract_id", "contractId", str)
+_OFFER_ANSWER = json_body(lambda contract_id: (contract_id, None), (_CONTRACT_ID,))
+_ACCEPT_ANSWER = json_body(
+    lambda contract_id, state: (contract_id, None),
+    (_CONTRACT_ID, ("state", "state", str)),
+)
+_DATA_HEADER = json_body(
+    lambda contract_id, exhausted: (contract_id, exhausted),
+    (_CONTRACT_ID, ("exhausted", "exhausted", bool)),
+)
 _FORWARD_GRANT = json_body(
-    lambda contract_id, object_uid, origin, policy: (object_uid, origin, policy),
+    lambda contract_id, object_uid, origin, policy: (contract_id, (object_uid, origin, policy)),
     (
-        ("contract_id", "contractId", str),
+        _CONTRACT_ID,
         ("object_uid", "objectUid", str),
         ("origin", "origin", str),
         ("policy", "policy", policy_from_wire),
@@ -247,16 +251,27 @@ _FORWARD_GRANT = json_body(
 )
 
 
-def _read_data(body: bytes) -> tuple[bytes, DataObject, bool]:
-    """(object bytes, decoded object, exhausted) of a DATA answer's body."""
+def _read_data(body: bytes) -> tuple[str, tuple[bytes, DataObject, bool]]:
+    """(contract id, (object bytes, decoded object, exhausted)) of a DATA
+    answer's body."""
     if len(body) < 4:
         raise ValueError(f"DATA body of {len(body)} bytes has no header length")
     (length,) = struct.unpack_from("<I", body)
     if 4 + length > len(body):
         raise ValueError(f"DATA header length {length} exceeds the body")
-    exhausted = _DATA_HEADER(body[4 : 4 + length])
+    contract_id, exhausted = _DATA_HEADER(body[4 : 4 + length])
     object_bytes = body[4 + length :]
-    return object_bytes, decode_object(object_bytes), exhausted
+    return contract_id, (object_bytes, decode_object(object_bytes), exhausted)
+
+
+# request opcode -> (name, answer opcode, reader of the answer body, whether
+# a failure is audited as a DENY)
+_EXCHANGES = {
+    OP_OFFER: ("OFFER", OP_OFFER, _OFFER_ANSWER, False),
+    OP_ACCEPT: ("ACCEPT", OP_ACCEPT, _ACCEPT_ANSWER, False),
+    OP_CONSUME: ("CONSUME", OP_DATA, _read_data, True),
+    OP_FORWARD: ("FORWARD", OP_FORWARD, _FORWARD_GRANT, True),
+}
 
 
 class Connector:
@@ -314,13 +329,14 @@ class Connector:
             raise WrongConsumer(f"no linked connector for {owner_key}")
         return peer
 
-    def _call(self, peer: "Connector", opcode: int, body: bytes, answer: int,
-              read: Callable[[bytes], object] = bytes, deny: str | None = None):
-        """Send one request; `read` of the body of its `answer`. An ERROR or
-        DENY raises the error its body names. Another opcode, or a body that
-        `read` refuses with ValueError, raises Nde4Error "unreadable <op>
-        response"; an Nde4Error of `read` or of the frame propagates. With
-        `deny`, a contract id, each failure is first audited as its DENY."""
+    def _call(self, peer: "Connector", opcode: int, contract_id: str, body: bytes):
+        """Send one request about `contract_id`; the value of its answer, read
+        as _EXCHANGES says. An ERROR or DENY raises the error its body names.
+        Another opcode, a body the reader refuses with ValueError, or an
+        answer about another contract raises Nde4Error "unreadable <op>
+        response"; an Nde4Error of the reader or of the frame propagates.
+        Where _EXCHANGES says so, each failure is first audited as a DENY."""
+        name, answer, read, audit_deny = _EXCHANGES[opcode]
         request = encode_frame(Channel.SOVEREIGN, bytes([opcode]) + body)
         for tap_fn in list(self._taps):
             tap_fn(request)
@@ -336,33 +352,27 @@ class Connector:
             elif payload[0] != answer:
                 raise ValueError(f"opcode {payload[0]:#x}, expected {answer:#x}")
             else:
-                return read(payload[1:])
+                named, value = read(payload[1:])
+                if named == contract_id:
+                    return value
+                raise ValueError(f"answer names contract {named!r}, not {contract_id!r}")
         except ValueError as exc:
-            error = Nde4Error(f"unreadable {_OP_NAMES[opcode]} response: {exc}")
+            error = Nde4Error(f"unreadable {name} response: {exc}")
             detail = f"Nde4Error: {error}"
         except Nde4Error as exc:
             detail, error = f"{type(exc).__name__}: {exc}", exc
-        if deny is not None:
-            self._audit_event(DENY, deny, detail)
+        if audit_deny:
+            self._audit_event(DENY, contract_id, detail)
         raise error
 
     def _audit_event(self, action: str, contract_id: str, detail: str = "") -> None:
         with self._lock:
             event = AuditEvent(self._clock.now_text(), contract_id, action, detail)
             self._audit.append(event)
-            self._write_audit_line(event)
-
-    def _write_audit_line(self, event: AuditEvent) -> None:
-        if self._audit_path is not None:
-            line = canonical_json(
-                {
-                    "at": event.at,
-                    "contractId": event.contract_id,
-                    "action": event.action,
-                    "detail": event.detail,
-                }
-            )
-            append_line(self._audit_path, line)
+            if self._audit_path is not None:
+                append_line(self._audit_path, canonical_json(
+                    {"at": event.at, "contractId": contract_id, "action": action, "detail": detail}
+                ))
 
     def audit_events(self, contract_id: str | None = None) -> tuple[AuditEvent, ...]:
         with self._lock:
@@ -411,7 +421,7 @@ class Connector:
                 "policy": _policy_to_wire(policy),
             }
         )
-        self._call(peer, OP_OFFER, body, OP_OFFER)
+        self._call(peer, OP_OFFER, contract_id, body)
         return contract_id
 
     def revoke(self, contract_id: str) -> None:
@@ -436,7 +446,7 @@ class Connector:
     def accept(self, contract_id: str) -> None:
         peer = self._provider_peer(contract_id)
         body = canonical_json({"contractId": contract_id, "from": str(self.owner)})
-        self._call(peer, OP_ACCEPT, body, OP_ACCEPT)
+        self._call(peer, OP_ACCEPT, contract_id, body)
         self._audit_event(ACCEPT, contract_id)
 
     def consume(self, contract_id: str) -> DataObject:
@@ -444,9 +454,7 @@ class Connector:
         with self._serial_for(contract_id):
             body = canonical_json({"contractId": contract_id, "from": str(self.owner)})
             # the bytes are cached only once they decode
-            object_bytes, obj, exhausted = self._call(
-                peer, OP_CONSUME, body, OP_DATA, _read_data, deny=contract_id
-            )
+            object_bytes, obj, exhausted = self._call(peer, OP_CONSUME, contract_id, body)
             with self._lock:
                 self._cache[contract_id] = object_bytes
                 self._audit_event(READ, contract_id, f"{len(object_bytes)} bytes")
@@ -475,9 +483,7 @@ class Connector:
                 ),
             }
         )
-        object_uid, origin, policy = self._call(
-            peer, OP_FORWARD, body, OP_FORWARD, _FORWARD_GRANT, deny=contract_id
-        )
+        object_uid, origin, policy = self._call(peer, OP_FORWARD, contract_id, body)
         with self._lock:
             return self._offer_locked(third_party, object_uid, policy, origin)
 

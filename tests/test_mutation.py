@@ -18,8 +18,10 @@ mutated body with a payload and never raise; an ERROR or DENY code is
 answered `MalformedRequest`.
 
 Client rule: whatever a peer answers, `Connector.offer`, `accept`, `consume`
-and `forward` return or raise an `Nde4Error`; a standard mutant in the
-answer raises; a failed consume caches no bytes and audits a DENY.
+and `forward` return or raise an `Nde4Error`; a standard mutant in any
+answer body or DATA header raises, and so does an answer that names
+another contract than the one asked about; a failed consume caches no
+bytes and audits a DENY.
 
 CLI rule: `nde4 sim run`, `validate shell` and `validate object`, run
 in-process through `cli.main` on a mutated input file, exit 0, 1 or 3 and
@@ -545,37 +547,43 @@ def test_client_reads_mutated_answers(tmp_path, clock):
     rng = random.Random(1710)
     archive = Archive(tmp_path / "data", clock)
     archive.store(make_object(uid="obj-1"))
-    client = Connector("forge", station_id("forge"), clock, archive=archive)
     peer = StubPeer(station_id("steel"))
-    client.link(peer)
     object_bytes = encode_object(make_object(uid="obj-1"))
-    header = canonical_json({"contractId": "ctr-1", "exhausted": False})
+    # each call is made by a fresh client: its first offer is `offered`, and
+    # it accepts, consumes and forwards the peer's contract `mirrored`
+    offered, mirrored = "ctr-forge-1", "ctr-steel-1"
+    header = canonical_json({"contractId": mirrored, "exhausted": False})
     bodies = {
-        OP_OFFER: {"contractId": "ctr-1"},
-        OP_ACCEPT: {"contractId": "ctr-1", "state": "ACTIVE"},
-        OP_FORWARD: {"contractId": "ctr-1", "objectUid": "obj-1",
+        OP_OFFER: {"contractId": offered},
+        OP_ACCEPT: {"contractId": mirrored, "state": "ACTIVE"},
+        OP_FORWARD: {"contractId": mirrored, "objectUid": "obj-1",
                      "origin": str(peer.owner), "policy": {"maxReads": 1}},
     }
     valid = {op: bytes([op]) + canonical_json(body) for op, body in bodies.items()}
     valid[OP_CONSUME] = _data(header, object_bytes)
     calls = {
-        OP_OFFER: lambda cid: client.offer(peer.owner, "obj-1", UsagePolicy()),
-        OP_ACCEPT: client.accept,
-        OP_CONSUME: client.consume,
-        OP_FORWARD: lambda cid: client.forward(cid, peer.owner),
+        OP_OFFER: lambda client: client.offer(peer.owner, "obj-1", UsagePolicy()),
+        OP_ACCEPT: lambda client: client.accept(mirrored),
+        OP_CONSUME: lambda client: client.consume(mirrored),
+        OP_FORWARD: lambda client: client.forward(mirrored, peer.owner),
     }
-    refusals = [error_payload("WrongState", "ctr-1"),
-                error_payload("ForwardProhibited", "ctr-1", OP_DENY)]
+    refusals = [error_payload("WrongState", mirrored),
+                error_payload("ForwardProhibited", mirrored, OP_DENY)]
     # answers each call must refuse: no key, a code of the wrong type, no
     # header length, a header that is not JSON, no payload, another opcode,
-    # a view-once read of bytes that do not decode, and, added below, every
-    # answer body or DATA header the client reads that is a standard mutant
+    # a view-once read of bytes that do not decode, an answer about another
+    # contract, and, added below, every answer body or DATA header that is a
+    # standard mutant
+    other = {"contractId": "ctr-steel-2"}
     unreadable = {
-        OP_FORWARD: [bytes([OP_FORWARD]) + b"{}"],
-        OP_ACCEPT: [bytes([OP_ERROR]) + b'{"code":[1]}', valid[OP_OFFER]],
+        OP_FORWARD: [bytes([OP_FORWARD]) + b"{}",
+                     bytes([OP_FORWARD]) + canonical_json({**bodies[OP_FORWARD], **other})],
+        OP_ACCEPT: [bytes([OP_ERROR]) + b'{"code":[1]}', valid[OP_OFFER],
+                    bytes([OP_ACCEPT]) + canonical_json({**bodies[OP_ACCEPT], **other})],
         OP_CONSUME: [bytes([OP_DATA, 1, 0]), bytes([OP_DATA, 1, 0, 0, 0]) + b"x",
-                     _data(b'{"contractId":"ctr-1","exhausted":true}', b"junk")],
-        OP_OFFER: [b"", valid[OP_CONSUME]],
+                     _data(canonical_json({"contractId": mirrored, "exhausted": True}), b"junk"),
+                     _data(canonical_json({**other, "exhausted": False}), object_bytes)],
+        OP_OFFER: [b"", valid[OP_CONSUME], bytes([OP_OFFER]) + canonical_json(other)],
     }
     answers = {op: [payload] + byte_mutants(rng, payload, 60) for op, payload in valid.items()}
 
@@ -584,10 +592,7 @@ def test_client_reads_mutated_answers(tmp_path, clock):
 
     for op, body in bodies.items():
         for m in document_mutants(rng, canonical_json(body), 40):
-            if op == OP_FORWARD:
-                add(op, m, bytes([op]) + m)
-            else:  # the client does not read an OFFER or ACCEPT answer's body
-                answers[op].append(bytes([op]) + m)
+            add(op, m, bytes([op]) + m)
     for m in document_mutants(rng, header, 40):
         add(OP_CONSUME, m, _data(m, object_bytes))
     for op in calls:
@@ -599,14 +604,16 @@ def test_client_reads_mutated_answers(tmp_path, clock):
     for op, call in calls.items():
         for payload in answers[op] + unreadable[op]:
             peer.answers = {**valid, op: payload}
-            contract_id = peer.offer(client, f"ctr-{rng.getrandbits(64)}")
+            client = Connector("forge", station_id("forge"), clock, archive=archive)
+            client.link(peer)
+            peer.offer(client, mirrored)
             try:
-                call(contract_id)
+                call(client)
             except Nde4Error:
                 outcomes["raised"] += 1
                 if op == OP_CONSUME:
-                    assert not client.cached(contract_id), payload
-                    assert client.audit_events(contract_id)[-1].action == DENY, payload
+                    assert not client.cached(mirrored), payload
+                    assert client.audit_events(mirrored)[-1].action == DENY, payload
                 continue
             except Exception as exc:  # reported with the answer that raised it
                 pytest.fail(f"{op:#x} answered {payload!r} raised {type(exc).__name__}: {exc}")
