@@ -14,9 +14,8 @@ from pathlib import Path
 
 from .archive import Archive, data_dir, decode_object, CHAIN_FILE
 from .errors import Nde4Error
-from .framing import JsonTypeError, json_object
 from .rami import RamiCoordinate, coverage_check, gaps_text, locate
-from .registry import manifest_from_dict, validate_manifest
+from .registry import load_manifest, validate_manifest
 from .plantsim import ScenarioDeadlock, load_scenario, run_scenario, TRACE_SUFFIX
 from .semantics import (
     DICT_V1,
@@ -37,6 +36,15 @@ EXIT_RUNTIME = 3
 class CommandResult:
     exit_code: int
     output: str
+
+
+def _read_input(path: str, what: str) -> bytes:
+    """The bytes of the input file at `path`, the only file a command reads;
+    Nde4Error "cannot read <what>" if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise Nde4Error(f"cannot read {what}: {exc}") from exc
 
 
 def _result(args, code: int, text: str, document) -> CommandResult:
@@ -76,14 +84,9 @@ def _report_is_clean(report: dict) -> bool:
 
 
 def cmd_sim_run(args) -> CommandResult:
-    scenario_path = Path(args.scenario)
-    try:
-        text = scenario_path.read_text("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return CommandResult(EXIT_RUNTIME, f"cannot read scenario: {exc}")
-    config = load_scenario(text, seed_override=args.seed)
+    config = load_scenario(_read_input(args.scenario, "scenario"), seed_override=args.seed)
     out_dir = Path(args.out)
-    stem = scenario_path.stem
+    stem = Path(args.scenario).stem
     try:
         result = run_scenario(config, out_dir / "nde4-data")
     except ScenarioDeadlock as exc:
@@ -196,34 +199,19 @@ def _findings_result(args, report) -> CommandResult:
 
 
 def cmd_validate_shell(args) -> CommandResult:
-    path = Path(args.file)
     try:
-        text = path.read_text("utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        return CommandResult(EXIT_RUNTIME, f"cannot read manifest: {exc}")
-    try:
-        document = json_object(text)
-    except JsonTypeError as exc:
-        cause = exc.__cause__  # a syntax error has the offset; others do not
-        if isinstance(cause, json.JSONDecodeError):
-            return CommandResult(
-                EXIT_RUNTIME, f"manifest parse failed at byte {cause.pos}: {cause.msg}"
-            )
-        return CommandResult(EXIT_RUNTIME, f"manifest parse failed: {exc}")
-    try:
-        manifest = manifest_from_dict(document)
+        manifest = load_manifest(_read_input(args.file, "manifest"))
     except ValueError as exc:
-        return CommandResult(EXIT_RUNTIME, str(exc))
+        syntax = exc.__cause__.__cause__  # the parse failure under the JsonTypeError
+        if isinstance(syntax, json.JSONDecodeError):  # its pos is a character index
+            offset = len(syntax.doc[: syntax.pos].encode("utf-8"))
+            raise Nde4Error(f"manifest parse failed at byte {offset}: {syntax.msg}") from exc
+        raise Nde4Error(f"manifest parse failed: {exc}") from exc
     return _findings_result(args, validate_manifest(manifest))
 
 
 def cmd_validate_object(args) -> CommandResult:
-    path = Path(args.file)
-    try:
-        blob = path.read_bytes()
-    except OSError as exc:
-        return CommandResult(EXIT_RUNTIME, f"cannot read object: {exc}")
-    obj = decode_object(blob)  # decode errors surface as runtime errors
+    obj = decode_object(_read_input(args.file, "object"))  # decode errors are runtime errors
     return _findings_result(args, validate_object(DICT_V1, obj))
 
 

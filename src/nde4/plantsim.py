@@ -152,6 +152,7 @@ class NoiseModel:
 
 
 DEFAULT_NOISE = NoiseModel()
+_F32_MAX = 3.4028234663852886e38  # the largest finite f32
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,8 +335,9 @@ _SCENARIO = json_table(ScenarioConfig, (
 ))
 
 
-def load_scenario(text: str, seed_override: int | None = None) -> ScenarioConfig:
-    """Parse and validate a scenario document; raises ConfigInvalid."""
+def load_scenario(text: bytes | str, seed_override: int | None = None) -> ScenarioConfig:
+    """Parse and validate a scenario document, as UTF-8 bytes or as str;
+    raises ConfigInvalid."""
     try:
         document = json_object(text)
     except JsonTypeError as exc:
@@ -451,6 +453,10 @@ def validate_config(config: ScenarioConfig) -> None:
         problems.append("detection floor must be in (0, 100]")
     if noise.peak_lo >= noise.peak_hi:
         problems.append("defect peak range is empty")
+    for key, value in (("noiseMax", noise.noise_max), ("peakLo", noise.peak_lo),
+                       ("peakHi", noise.peak_hi)):
+        if not abs(value) <= _F32_MAX:  # the grid is packed as f32 amplitudes
+            problems.append(f"noise {key} does not fit an f32: {value!r}")
     if noise.max_defects < 0 or noise.max_defect_extent < 1:
         problems.append("defect injection bounds invalid")
     for fault in config.faults:

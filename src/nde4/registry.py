@@ -184,7 +184,6 @@ class Registry:
 
     def __init__(self):
         self._shells: dict[InstanceId, Manifest] = {}
-        self._order: list[InstanceId] = []
         self._lock = threading.Lock()
 
     def validate(self, manifest: Manifest) -> ValidationReport:
@@ -211,7 +210,6 @@ class Registry:
                     + " -> ".join(str(i) for i in [instance, *path])
                 )
             self._shells[instance] = manifest
-            self._order.append(instance)
             return instance
 
     def resolve(self, instance: InstanceId) -> Manifest:
@@ -236,9 +234,10 @@ class Registry:
             self._shells[parent] = manifest.with_child(child)
 
     def list_shells(self) -> tuple[InstanceId, ...]:
-        """Registration order, which is deterministic for a given scenario."""
+        """Registration order, which is deterministic for a given scenario;
+        `nest` replaces a manifest in place, so it keeps its shell's place."""
         with self._lock:
-            return tuple(self._order)
+            return tuple(self._shells)
 
     def _path(
         self, starts: Iterable[InstanceId], goal: InstanceId
@@ -324,21 +323,15 @@ _MANIFEST = json_table(Manifest, (
 ))
 
 
-def manifest_from_dict(data: dict) -> Manifest:
-    """The manifest of a JSON document; ValueError names the bad key."""
-    try:
-        return _MANIFEST(data)
-    except JsonTypeError as exc:
-        raise ValueError(f"malformed manifest document: {exc}") from exc
-
-
 def dump_manifest(manifest: Manifest) -> str:
     return json.dumps(manifest_to_dict(manifest), indent=2, sort_keys=True) + "\n"
 
 
-def load_manifest(text: str) -> Manifest:
+def load_manifest(text: bytes | str) -> Manifest:
+    """The one manifest reader: the manifest of a JSON document, as UTF-8
+    bytes or as str. ValueError says what is malformed; its cause is the
+    reader's JsonTypeError, whose own cause is the parse failure, if any."""
     try:
-        document = json_object(text)
+        return _MANIFEST(json_object(text))
     except JsonTypeError as exc:
         raise ValueError(f"malformed manifest document: {exc}") from exc
-    return manifest_from_dict(document)

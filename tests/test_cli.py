@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 
 from conftest import make_object, record_range
 from nde4.archive import SEGMENT_FILE, Archive, encode_object
+from nde4 import cli
 from nde4.cli import EXIT_FINDINGS, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from nde4.registry import dump_manifest, manifest_from_dict
+from nde4.registry import dump_manifest, load_manifest
 from nde4.timebase import LogicalClock
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -92,13 +94,13 @@ def test_sim_run_requires_scenario_flag(capsys):
 
 
 def test_sim_run_missing_file_is_runtime_error(tmp_path, capsys):
-    code, out, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "sim", "run",
         "--scenario", str(tmp_path / "ghost.scen"),
         "--out", str(tmp_path / "out"),
     )
     assert code == EXIT_RUNTIME
-    assert "cannot read scenario" in out
+    assert "cannot read scenario" in err
 
 
 @pytest.mark.parametrize(
@@ -300,7 +302,7 @@ GOOD_MANIFEST = {
 
 def test_validate_shell_clean(tmp_path, capsys):
     path = tmp_path / "scanner.aas"
-    path.write_text(dump_manifest(manifest_from_dict(GOOD_MANIFEST)))
+    path.write_text(dump_manifest(load_manifest(json.dumps(GOOD_MANIFEST))))
     code, out, _ = run_cli(capsys, "validate", "shell", "--file", str(path))
     assert code == EXIT_OK
     assert out.strip() == "valid"
@@ -318,17 +320,25 @@ def test_validate_shell_findings(tmp_path, capsys):
 def test_validate_shell_parse_failure_reports_offset(tmp_path, capsys):
     path = tmp_path / "torn.aas"
     path.write_text('{"shellTypeId": ')
-    code, out, _ = run_cli(capsys, "validate", "shell", "--file", str(path))
+    code, _, err = run_cli(capsys, "validate", "shell", "--file", str(path))
     assert code == EXIT_RUNTIME
-    assert "manifest parse failed at byte 16" in out
+    assert "manifest parse failed at byte 16" in err
+
+
+def test_validate_shell_parse_failure_offset_counts_utf8_bytes(tmp_path, capsys):
+    path = tmp_path / "torn.aas"
+    path.write_bytes('{"header": {"displayName": "ééé", '.encode())  # 37 bytes, 34 chars
+    code, _, err = run_cli(capsys, "validate", "shell", "--file", str(path))
+    assert code == EXIT_RUNTIME
+    assert "manifest parse failed at byte 37" in err
 
 
 def test_validate_shell_missing_file(tmp_path, capsys):
-    code, out, _ = run_cli(
+    code, _, err = run_cli(
         capsys, "validate", "shell", "--file", str(tmp_path / "ghost.aas")
     )
     assert code == EXIT_RUNTIME
-    assert "cannot read manifest" in out
+    assert "cannot read manifest" in err
 
 
 NOT_UTF8 = b'{"seed": "\xff"}'
@@ -343,8 +353,8 @@ NOT_UTF8 = b'{"seed": "\xff"}'
             b'{"header": {"displayName": ' + b"7" * 5000 + b"}}",
             "manifest parse failed",
         ),
-        ("validate", NOT_UTF8, "cannot read manifest"),
-        ("sim", NOT_UTF8, "cannot read scenario"),
+        ("validate", NOT_UTF8, "manifest parse failed"),
+        ("sim", NOT_UTF8, "not parseable"),
     ],
     ids=["shell-too-deep", "shell-huge-int", "shell-not-utf8", "scenario-not-utf8"],
 )
@@ -357,8 +367,26 @@ def test_unreadable_input_file_is_runtime_error(tmp_path, capsys, command, conte
     }[command]
     code, out, err = run_cli(capsys, *argv)
     assert code == EXIT_RUNTIME
-    assert message in out
+    assert message in err
     assert "Traceback" not in out + err
+
+
+def test_only_the_input_helper_opens_files():
+    # every input file a command reads goes through _read_input, which words
+    # "cannot read <what>" once; an open or read elsewhere would word its own
+    readers = ("open", "read_text", "read_bytes")
+    tree = ast.parse(Path(cli.__file__).read_text("utf-8"))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_read_input")
+    inside = {id(node) for node in ast.walk(helper)}
+    found = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and id(node) not in inside and (
+            isinstance(node.func, ast.Name) and node.func.id in readers
+            or isinstance(node.func, ast.Attribute) and node.func.attr in readers
+        )
+    ]
+    assert found == []
 
 
 def test_validate_object_clean(tmp_path, capsys):

@@ -177,6 +177,16 @@ def test_base_config_is_valid():
             lambda c: replace(c, noise=replace(DEFAULT_NOISE, max_defect_extent=0)),
             "defect",
         ),
+        (
+            lambda c: replace(c, noise=replace(DEFAULT_NOISE, noise_max=1e39)),
+            "noiseMax does not fit an f32",
+        ),
+        (
+            lambda c: replace(
+                c, noise=replace(DEFAULT_NOISE, peak_lo=1e300, peak_hi=1e308)
+            ),
+            "peakLo does not fit an f32",
+        ),
         (lambda c: replace(c, active_components=("nope",)), "unknown component"),
         (
             lambda c: replace(c, orders=(replace(c.orders[0], order_id="ORD 10"),)),
