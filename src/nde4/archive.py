@@ -615,26 +615,28 @@ class ArchiveWire:
     """
 
     def __init__(self, archive: Archive):
-        self._archive = archive
         # FETCH and QUERY bodies; each QUERY criterion a string, null if omitted
-        self._fetch_body = json_body(archive.fetch_bytes, (("uid", "uid", str),))
-        self._query_body = json_body(archive.query, (
+        fetch_body = json_body(archive.fetch_bytes, (("uid", "uid", str),))
+        query_body = json_body(archive.query, (
             ("order_id", "orderId", {str: str, NULL: NULL}),
             ("component_serial", "componentSerial", {str: str, NULL: NULL}),
             ("method", "method", {str: str, NULL: NULL}),
         ))
 
+        def store(body: bytes) -> bytes:
+            uid = archive.store(decode_object(body))
+            return bytes([OP_RESULT]) + canonical_json({"uid": uid})
+
+        def fetch(body: bytes) -> bytes:
+            return bytes([OP_RESULT]) + fetch_body(body)
+
+        def query(body: bytes) -> bytes:
+            return bytes([OP_RESULT]) + canonical_json({"uids": list(query_body(body))})
+
+        # closures over the archive, not bound methods: a reference cycle
+        # through the wire would keep each replaced wire's archive in memory
+        # until the collector's next full pass
+        self._handlers = {OP_STORE: store, OP_FETCH: fetch, OP_QUERY: query}
+
     def request(self, payload: bytes) -> bytes:
-        handlers = {OP_STORE: self._store, OP_FETCH: self._fetch, OP_QUERY: self._query}
-        return dispatch(handlers, payload)
-
-    def _store(self, body: bytes) -> bytes:
-        uid = self._archive.store(decode_object(body))
-        return bytes([OP_RESULT]) + canonical_json({"uid": uid})
-
-    def _fetch(self, body: bytes) -> bytes:
-        return bytes([OP_RESULT]) + self._fetch_body(body)
-
-    def _query(self, body: bytes) -> bytes:
-        uids = self._query_body(body)
-        return bytes([OP_RESULT]) + canonical_json({"uids": list(uids)})
+        return dispatch(self._handlers, payload)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import errno
+import gc
 import itertools
 import json
 import os
@@ -8,6 +9,7 @@ import random
 import struct
 import sys
 import threading
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -706,3 +708,19 @@ def test_wire_errors(store):
         response = wire.request(bytes([opcode]) + body)
         assert response[0] == OP_ERROR
         assert json.loads(response[1:])["code"] == "MalformedRequest"
+
+
+def test_dropped_wire_frees_its_archive_without_the_collector(tmp_path):
+    # a server may swap in a new wire per store copy, as the evidence-wire
+    # benchmark does; a reference cycle through the wire would hold each
+    # old archive until the collector's next full pass
+    store = Archive(tmp_path / "served", LogicalClock())
+    wire = ArchiveWire(store)
+    assert wire.request(bytes([OP_QUERY]) + b"{}")[0] == OP_RESULT
+    freed = weakref.ref(store)
+    gc.disable()
+    try:
+        del store, wire
+        assert freed() is None
+    finally:
+        gc.enable()
