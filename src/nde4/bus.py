@@ -10,7 +10,6 @@ number; per order the status history is monotone.
 from __future__ import annotations
 
 import threading
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -33,7 +32,6 @@ from .registry import Registry, UnknownShell
 from .semantics import METHOD_CODES
 from .timebase import LogicalClock
 
-WILDCARD_TOPIC = "*"
 SERVICE_PREFIX = "inspect-"
 
 
@@ -109,25 +107,19 @@ class _OrderRecord:
 
 
 class Subscription:
-    """Event sink with exactly-once delivery; thread-safe take/drain."""
+    """Sink of every status event, each delivered once; thread-safe drain."""
 
-    def __init__(self, topic: str):
-        self.topic = topic
-        self._events: deque[tuple[int, StatusEvent]] = deque()
+    def __init__(self):
+        self._events: list[tuple[int, StatusEvent]] = []
         self._lock = threading.Lock()
 
     def _offer(self, seq: int, event: StatusEvent) -> None:
         with self._lock:
             self._events.append((seq, event))
 
-    def take(self) -> tuple[int, StatusEvent] | None:
-        with self._lock:
-            return self._events.popleft() if self._events else None
-
     def drain(self) -> list[tuple[int, StatusEvent]]:
         with self._lock:
-            out = list(self._events)
-            self._events.clear()
+            out, self._events = self._events, []
             return out
 
 
@@ -274,16 +266,12 @@ class OrdersBus:
                 self._open.pop(event.order_id, None)
             self._seq += 1
             seq = self._seq
-            receivers = [
-                sub
-                for sub in self._subscriptions
-                if sub.topic in (WILDCARD_TOPIC, event.order_id)
-            ]
+            receivers = list(self._subscriptions)
         for sub in receivers:
             sub._offer(seq, event)
 
-    def subscribe(self, topic: str = WILDCARD_TOPIC) -> Subscription:
-        sub = Subscription(topic)
+    def subscribe(self) -> Subscription:
+        sub = Subscription()
         with self._lock:
             self._subscriptions.append(sub)
         return sub

@@ -1,14 +1,14 @@
 """ORDERS-channel message types and their textual payload codec.
 
 Payloads are compact JSON documents with sorted keys (deterministic bytes)
-and a "kind" discriminator: order, status, report, ack, error. Every
+and a "kind" discriminator: order, status, report. Every
 document field name here is normative; see docs/FORMATS.md.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
@@ -78,22 +78,11 @@ class ReportedValues:
     indication_count: int
     max_amplitude: float | None = None
     archived_refs: tuple[str, ...] = ()
-    extras: dict = field(default_factory=dict, compare=False)
+    notes: str | None = None
+    payload_ref: str | None = None  # UID of the object holding an oversized report
 
 
-@dataclass(frozen=True, slots=True)
-class Ack:
-    of: str
-    order_id: str
-
-
-@dataclass(frozen=True, slots=True)
-class ErrorMessage:
-    code: str
-    detail: str
-
-
-Message = Union[InspectionOrder, StatusEvent, ReportedValues, Ack, ErrorMessage]
+Message = Union[InspectionOrder, StatusEvent, ReportedValues]
 
 
 def validate_order(order: InspectionOrder) -> tuple[str, ...]:
@@ -135,9 +124,9 @@ def validate_report(rv: ReportedValues) -> tuple[str, ...]:
         type(amplitude) not in (int, float) or not abs(amplitude) <= sys.float_info.max
     ):
         problems.append(f"max_amplitude must be a finite number: {amplitude!r}")
-    for key, value in rv.extras.items():
-        if key not in ("notes", "payloadRef") or type(value) is not str:
-            problems.append(f"extra {key!r} is not a notes or payloadRef string: {value!r}")
+    for key, value in (("notes", rv.notes), ("payloadRef", rv.payload_ref)):
+        if value is not None and type(value) is not str:
+            problems.append(f"{key} must be a string or None: {value!r}")
     return tuple(problems)
 
 
@@ -169,22 +158,13 @@ def encode_message(message: Message) -> bytes:
             "maxAmplitude": message.max_amplitude,
             "archivedRefs": list(message.archived_refs),
         }
-        for key, value in message.extras.items():
-            document.setdefault(key, value)
-    elif isinstance(message, Ack):
-        document = {"kind": "ack", "of": message.of, "orderId": message.order_id}
-    elif isinstance(message, ErrorMessage):
-        document = {"kind": "error", "code": message.code, "detail": message.detail}
+        if message.notes is not None:
+            document["notes"] = message.notes
+        if message.payload_ref is not None:
+            document["payloadRef"] = message.payload_ref
     else:
         raise TypeError(f"not a message: {type(message).__name__}")
     return canonical_json(document)
-
-
-def _report(order_id, verdict, indication_count, max_amplitude, archived_refs,
-            notes=None, payload_ref=None) -> ReportedValues:
-    extras = {"notes": notes, "payloadRef": payload_ref}
-    return ReportedValues(order_id, verdict, indication_count, max_amplitude, archived_refs,
-                          {key: value for key, value in extras.items() if value is not None})
 
 
 # One key table per message kind, picked by the "kind" key; see
@@ -204,7 +184,7 @@ _MESSAGES = {
         ("state", "state", {str: OrderState}),
         ("at", "at", str),
     )),
-    "report": json_table(_report, (
+    "report": json_table(ReportedValues, (
         ("order_id", "orderId", str),
         ("verdict", "verdict", {str: Verdict}),
         ("indication_count", "indicationCount", int),
@@ -213,8 +193,6 @@ _MESSAGES = {
         ("notes", "notes", str),
         ("payload_ref", "payloadRef", str),
     )),
-    "ack": json_table(Ack, (("of", "of", str), ("order_id", "orderId", str))),
-    "error": json_table(ErrorMessage, (("code", "code", str), ("detail", "detail", str))),
 }
 
 

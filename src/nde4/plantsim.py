@@ -965,7 +965,7 @@ class _Engine:
         )
         fault = self.oversize_faults.get(order_id)
         if fault is not None:
-            rv = replace(rv, extras={"notes": "N" * fault.size})
+            rv = replace(rv, notes="N" * fault.size)
         try:
             self.bus.report_values(rv)
         except OversizedPayload:
@@ -982,7 +982,7 @@ class _Engine:
                     TAG_METHOD_CODE: procedure.method.encode("utf-8"),
                     TAG_COMPONENT_SERIAL: order.component_serial.encode("utf-8"),
                     TAG_ORDER_ID: order_id.encode("utf-8"),
-                    TAG_BULK_PAYLOAD: rv.extras["notes"].encode("utf-8"),
+                    TAG_BULK_PAYLOAD: rv.notes.encode("utf-8"),
                 }
             )
             self.archive.store(blob)
@@ -996,7 +996,7 @@ class _Engine:
                     "payloadBytes": fault.size,
                 },
             )
-            rv = replace(rv, extras={"payloadRef": blob_uid})
+            rv = replace(rv, notes=None, payload_ref=blob_uid)
             self.bus.report_values(rv)
         self.emit(
             "gateway",

@@ -202,9 +202,9 @@ def test_01_order_channel_cap_and_bulk_reroute(tmp_path):
         ]
         assert routed, "no reroute decision in the trace"
         refs = [
-            rv.extras["payloadRef"]
+            rv.payload_ref
             for rv in (run.bus.kpis(oid) for oid in run.bus.order_ids())
-            if rv is not None and "payloadRef" in rv.extras
+            if rv is not None and rv.payload_ref is not None
         ]
         assert len(refs) == 1
         bulk = run.archive.fetch(refs[0])

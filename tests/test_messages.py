@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import random
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,8 +11,6 @@ import pytest
 from conftest import station_id
 from nde4.identity import TypeId
 from nde4.messages import (
-    Ack,
-    ErrorMessage,
     InspectionOrder,
     MalformedMessage,
     OrderState,
@@ -56,24 +56,29 @@ def test_status_round_trip():
     assert decode_message(encode_message(event)) == event
 
 
-def test_report_round_trip_with_extras():
+def test_report_round_trip_with_optional_keys():
     rv = ReportedValues(
         order_id="ORD-7",
         verdict=Verdict.REJECT,
         indication_count=2,
         max_amplitude=61.5,
         archived_refs=("obj-1", "obj-2"),
-        extras={"payloadRef": "obj-3"},
+        payload_ref="obj-3",
     )
     decoded = decode_message(encode_message(rv))
     assert decoded == rv
-    assert decoded.extras == {"payloadRef": "obj-3"}
+    assert decoded.payload_ref == "obj-3" and decoded.notes is None
+    assert "notes" not in json.loads(encode_message(rv))  # written only when set
+    assert decoded != replace(rv, payload_ref="obj-4")  # the optional keys compare
+    noted = ReportedValues("ORD-7", Verdict.ACCEPT, 0, notes="seam 3")
+    assert decode_message(encode_message(noted)) == noted
 
 
-def test_ack_and_error_round_trip():
-    assert decode_message(encode_message(Ack("order", "ORD-7"))) == Ack("order", "ORD-7")
-    err = ErrorMessage("DuplicateOrder", "already submitted")
-    assert decode_message(encode_message(err)) == err
+def test_decode_refuses_the_retired_ack_and_error_kinds():
+    for payload in (b'{"kind":"ack","of":"order","orderId":"ORD-7"}',
+                    b'{"detail":"already submitted","code":"DuplicateOrder","kind":"error"}'):
+        with pytest.raises(MalformedMessage, match="kind"):
+            decode_message(payload)
 
 
 def test_wire_field_names():
@@ -194,6 +199,8 @@ def test_validate_report_problems():
 def test_formats_doc_states_every_message_key():
     formats = Path(__file__).resolve().parent.parent / "docs" / "FORMATS.md"
     section = formats.read_text("utf-8").split("\n## Bus messages")[1].split("\n## ")[0]
+    # the section names exactly the kinds the decoder reads, no retired one
+    assert re.findall(r"\n(\w+)\n: ", section) == list(_MESSAGES)
     for kind, table in _MESSAGES.items():
         # each kind's keys follow its name, up to the next kind
         entry = section.split(f"\n{kind}\n: ")[1].split("\n\n")[0]

@@ -69,8 +69,6 @@ from nde4.framing import (
 )
 from nde4.identity import TypeId
 from nde4.messages import (
-    Ack,
-    ErrorMessage,
     InspectionOrder,
     MalformedMessage,
     Message,
@@ -313,10 +311,8 @@ MESSAGES = (
     dataclasses.replace(ORDER, priority=0, station=None),
     StatusEvent("ORD-7", OrderState.ASSIGNED, "20200101T000100"),
     ReportedValues("ORD-7", Verdict.REJECT, 2, 61.5, ("obj-1", "obj-2"),
-                   {"payloadRef": "obj-3"}),
-    ReportedValues("ORD-8", Verdict.ACCEPT, 0, None, (), {"notes": "ok"}),
-    Ack("order", "ORD-7"),
-    ErrorMessage("DuplicateOrder", "already submitted"),
+                   payload_ref="obj-3"),
+    ReportedValues("ORD-8", Verdict.ACCEPT, 0, None, (), notes="ok"),
 )
 
 

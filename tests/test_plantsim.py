@@ -736,8 +736,8 @@ def test_oversize_fault_reroutes_and_completes(tmp_path):
     assert routes and routes[0]["data"]["decision"] == "ARCHIVE_WITH_REFERENCE"
     reported = result.bus.kpis("ORD-1")
     assert reported is not None
-    assert "payloadRef" in reported.extras
-    assert result.archive.has(reported.extras["payloadRef"])
+    assert reported.notes is None
+    assert result.archive.has(reported.payload_ref)
 
 
 def test_overread_fault_is_denied_and_audited(tmp_path):
