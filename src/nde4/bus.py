@@ -161,6 +161,17 @@ class OrdersBus:
             raise UnknownOrder(order_id)
         return record
 
+    def _record_event(self, record: _OrderRecord, event: StatusEvent) -> None:
+        """Make `event` the order's latest and offer it, with the next
+        sequence number, to every subscription; the caller holds the lock."""
+        record.state = event.state
+        record.history.append(event)
+        if event.state in TERMINAL_STATES:
+            self._open.pop(event.order_id, None)
+        self._seq += 1
+        for sub in self._subscriptions:
+            sub._offer(self._seq, event)
+
     def _require_station(self, station: InstanceId) -> None:
         try:
             self._registry.resolve(station)
@@ -191,10 +202,9 @@ class OrdersBus:
             record = _OrderRecord(order, OrderState.QUEUED, assigned=order.station)
             self._orders[order.order_id] = record
             self._open[order.order_id] = record
-        self.publish_status(
-            StatusEvent(order.order_id, OrderState.QUEUED, self._clock.now_text()),
-            initial=True,
-        )
+            queued = StatusEvent(order.order_id, OrderState.QUEUED, self._clock.now_text())
+            self._record_event(record, queued)
+        self._carry(queued)
         return order.order_id
 
     def order(self, order_id: str) -> InspectionOrder:
@@ -249,26 +259,15 @@ class OrdersBus:
             StatusEvent(order_id, OrderState.ASSIGNED, self._clock.now_text())
         )
 
-    def publish_status(self, event: StatusEvent, initial: bool = False) -> None:
+    def publish_status(self, event: StatusEvent) -> None:
         self._carry(event)
         with self._lock:
             record = self._record(event.order_id)
-            if initial:
-                if record.history:
-                    raise IllegalTransition("initial event already published")
-            elif not is_legal_transition(record.state, event.state):
+            if not is_legal_transition(record.state, event.state):
                 raise IllegalTransition(
                     f"{record.state.value} -> {event.state.value}"
                 )
-            record.state = event.state
-            record.history.append(event)
-            if event.state in TERMINAL_STATES:
-                self._open.pop(event.order_id, None)
-            self._seq += 1
-            seq = self._seq
-            receivers = list(self._subscriptions)
-        for sub in receivers:
-            sub._offer(seq, event)
+            self._record_event(record, event)
 
     def subscribe(self) -> Subscription:
         sub = Subscription()

@@ -291,6 +291,27 @@ def test_subscriptions_get_each_later_event_once(bus, clock):
     assert [e.state for _, e in everything.drain()] == [OrderState.ASSIGNED]
 
 
+def test_assign_between_the_steps_of_submit_order(bus):
+    # the assign lands while the QUEUED frame is on the wire, in-process
+    # and with no threads: the order and its first event are recorded
+    # together, so the assign follows the QUEUED event
+    events = bus.subscribe()
+    carry = bus._carry
+
+    def carry_then_assign(message):
+        carry(message)
+        if isinstance(message, StatusEvent) and message.state == OrderState.QUEUED:
+            bus.assign(message.order_id, station_id("unit-1"))
+
+    bus._carry = carry_then_assign
+    assert bus.submit_order(order()) == "ORD-7"
+    lifecycle = [OrderState.QUEUED, OrderState.ASSIGNED]
+    assert [e.state for e in bus.history("ORD-7")] == lifecycle
+    delivered = events.drain()
+    assert [e.state for _, e in delivered] == lifecycle
+    assert delivered[0][0] < delivered[1][0]
+
+
 def test_taps_see_wire_frames(bus):
     frames: list[bytes] = []
     bus.tap(frames.append)
@@ -304,6 +325,10 @@ def test_taps_see_wire_frames(bus):
     assert first.order_id == "ORD-7"
     second = decode_message(decode_frame(frames[1]).payload)
     assert isinstance(second, StatusEvent)
+    # a duplicate's order frame is carried before the refusal, with no QUEUED
+    with pytest.raises(DuplicateOrder):
+        bus.submit_order(order())
+    assert len(frames) == 3 and frames[2] == frames[0]
 
 
 def test_kpis_absent_until_reported(bus):
