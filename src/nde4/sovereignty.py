@@ -232,10 +232,16 @@ _FAILURE_BODY = json_body(
 )
 _CONTRACT_ID = ("contract_id", "contractId", str)
 _OFFER_ANSWER = json_body(lambda contract_id: (contract_id, None), (_CONTRACT_ID,))
-_ACCEPT_ANSWER = json_body(
-    lambda contract_id, state: (contract_id, None),
-    (_CONTRACT_ID, ("state", "state", str)),
-)
+
+
+def _accepted(contract_id: str, state: str) -> tuple[str, None]:
+    """An ACCEPT answer completes the handshake only on the state ACTIVE."""
+    if state != ACTIVE:
+        raise ValueError(f"state {state!r}, expected {ACTIVE!r}")
+    return contract_id, None
+
+
+_ACCEPT_ANSWER = json_body(_accepted, (_CONTRACT_ID, ("state", "state", str)))
 _DATA_HEADER = json_body(
     lambda contract_id, exhausted: (contract_id, exhausted),
     (_CONTRACT_ID, ("exhausted", "exhausted", bool)),

@@ -184,6 +184,27 @@ def test_failed_view_once_read_leaves_no_bytes(clock):
     assert events == [(DENY, "BadPreamble: expected b'NDEO' preamble")]
 
 
+def test_accept_answer_must_report_an_active_contract(clock):
+    # the handshake completes only on the state ACTIVE; any other answered
+    # state is unreadable and audits no ACCEPT
+    consumer = Connector("forge", FORGE, clock)
+    peer = StubPeer(STEEL)
+    consumer.link(peer)
+    cid = peer.offer(consumer, "ctr-1")
+
+    def answer(state: str) -> bytes:
+        return bytes([OP_ACCEPT]) + json.dumps({"contractId": cid, "state": state}).encode()
+
+    for state in ("REVOKED", "x", ""):
+        peer.answers[OP_ACCEPT] = answer(state)
+        with pytest.raises(Nde4Error, match="unreadable ACCEPT response"):
+            consumer.accept(cid)
+    assert ACCEPT not in [e.action for e in consumer.audit_events(cid)]
+    peer.answers[OP_ACCEPT] = answer(ACTIVE)
+    consumer.accept(cid)
+    assert [e.action for e in consumer.audit_events(cid)][-1] == ACCEPT
+
+
 def test_consume_guards(pair):
     provider, consumer = pair
     cid = provider.offer(FORGE, "obj-1", UsagePolicy())
