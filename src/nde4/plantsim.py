@@ -131,6 +131,10 @@ class ScenarioDeadlock(Nde4Error):
         self.trace_lines = trace_lines
 
 
+class DataDirInUse(Nde4Error):
+    """The data directory is not empty; a run starts from an empty one."""
+
+
 class FaultNotApplicable(Nde4Error):
     """The fault cannot apply to this config."""
 
@@ -1219,5 +1223,10 @@ class _Engine:
 
 
 def run_scenario(config: ScenarioConfig, data_dir: str | Path) -> SimResult:
+    """Run `config` in `data_dir`, which must be absent or empty: a store left
+    by another run would refuse every uid this run mints (DataDirInUse)."""
     validate_config(config)
-    return _Engine(config, data_dir).run()
+    directory = Path(data_dir)
+    if directory.is_dir() and any(directory.iterdir()):
+        raise DataDirInUse(f"data directory is not empty: {directory}")
+    return _Engine(config, directory).run()

@@ -888,6 +888,10 @@ def test_08_every_declared_error_is_triggered(tmp_path):
             ("rami.UnknownComponent", lambda: locate("teleporter")),
             ("plantsim.ConfigInvalid", lambda: load_scenario("[]")),
             (
+                "plantsim.DataDirInUse",
+                lambda: run_scenario(two_company_config(), tmp_path / "errors"),
+            ),
+            (
                 "plantsim.FaultNotApplicable",
                 lambda: check_fault_applicable(
                     two_company_config(), FaultSpec(FAULT_OVERREAD)

@@ -70,6 +70,19 @@ def test_sim_run_traces_are_reproducible(tmp_path, capsys):
     assert first == second
 
 
+def test_sim_run_refuses_an_output_directory_that_holds_a_run(tmp_path, capsys):
+    argv = ("sim", "run", "--scenario", str(SCENARIO_DIR / "fullchain.scen"),
+            "--out", str(tmp_path))
+    assert run_cli(capsys, *argv)[0] == EXIT_OK
+    files = sorted(path for path in tmp_path.rglob("*") if path.is_file())
+    before = {path: path.read_bytes() for path in files}
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_RUNTIME
+    assert out == "" and "data directory is not empty" in err
+    assert sorted(path for path in tmp_path.rglob("*") if path.is_file()) == files
+    assert {path: path.read_bytes() for path in files} == before
+
+
 def test_sim_run_seed_override_changes_the_run(tmp_path, capsys):
     run_cli(
         capsys, "sim", "run",
