@@ -51,7 +51,7 @@ class IllegalTransition(Nde4Error):
     """Status update violates the monotonic state rule."""
 
 
-class WrongState(Nde4Error):
+class WrongOrderState(Nde4Error):
     """Operation requires a different order state."""
 
 
@@ -249,11 +249,11 @@ class OrdersBus:
         with self._lock:
             record = self._record(order_id)
             if record.state != OrderState.QUEUED:
-                raise WrongState(
+                raise WrongOrderState(
                     f"{order_id} is {record.state.value}, not QUEUED"
                 )
             if record.assigned is not None and record.assigned != station:
-                raise WrongState(f"{order_id} already assigned to {record.assigned}")
+                raise WrongOrderState(f"{order_id} already assigned to {record.assigned}")
             record.assigned = station
         self.publish_status(
             StatusEvent(order_id, OrderState.ASSIGNED, self._clock.now_text())
@@ -288,7 +288,7 @@ class OrdersBus:
         if problems:
             raise ValidationFailed("; ".join(problems))
         if record.state != OrderState.DATA_ARCHIVED:
-            raise WrongState(
+            raise WrongOrderState(
                 f"{rv.order_id} is {record.state.value}, not DATA_ARCHIVED"
             )
         for ref in rv.archived_refs:

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .archive import SEGMENT_FILE, Archive, DataObject, Element
-from .bus import OrdersBus, Procedure, UnknownStation, WrongState as BusWrongState
+from .bus import OrdersBus, Procedure, UnknownStation, WrongOrderState
 from .errors import Nde4Error
 from .framing import (
     HEADER_SIZE, JsonTypeError, OversizedPayload, canonical_json, json_list,
@@ -861,7 +861,7 @@ class _Engine:
                 continue
             try:
                 self.bus.assign(order.order_id, station)
-            except (BusWrongState, UnknownStation):
+            except (WrongOrderState, UnknownStation):
                 continue
             self.emit(actor, "assign", {"orderId": order.order_id})
             self.drain_status()

@@ -42,7 +42,7 @@ class UnknownStandardTag(Nde4Error):
     """Tag code is in the standard range but absent from the dictionary."""
 
 
-class LengthMismatch(Nde4Error):
+class ValueLengthMismatch(Nde4Error):
     """Raw value length is inconsistent with the value representation."""
 
 
@@ -205,11 +205,11 @@ def interpret(definition: TagDefinition, raw: bytes) -> TypedValue:
     unit = _UNIT_SIZE[rep]
     if definition.multiplicity == "1":
         if len(raw) != unit:
-            raise LengthMismatch(
+            raise ValueLengthMismatch(
                 f"{definition.name}: expected {unit} bytes, got {len(raw)}"
             )
     elif len(raw) % unit != 0:
-        raise LengthMismatch(
+        raise ValueLengthMismatch(
             f"{definition.name}: length {len(raw)} not a multiple of {unit}"
         )
 
@@ -388,7 +388,7 @@ def validate_object(dictionary: Dictionary, obj) -> ValidationReport:
                 continue
         try:
             value = interpret(resolved, raw)
-        except (LengthMismatch, EncodingError) as exc:
+        except (ValueLengthMismatch, EncodingError) as exc:
             findings.append(Finding(VALUE_REP_MISMATCH, str(exc), code))
             continue
         if code == TAG_METHOD_CODE and value not in METHOD_CODES:

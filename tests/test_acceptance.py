@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import pkgutil
 import random
 import socket
 import struct
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import nde4
 from conftest import make_object, record_range, station_id, station_manifest
 from test_plantsim import oracle_indications, two_company_config
 
@@ -44,8 +46,8 @@ from nde4.bus import (
     Procedure,
     UnknownOrder,
     UnknownStation,
+    WrongOrderState,
 )
-from nde4.bus import WrongState as BusWrongState
 from nde4.errors import Nde4Error, ValidationFailed
 from nde4.framing import (
     MAGIC,
@@ -53,12 +55,12 @@ from nde4.framing import (
     BadMagic,
     BadVersion,
     Channel,
+    LengthMismatch,
     OversizedPayload,
     UnknownChannel,
     decode_frame,
     encode_frame,
 )
-from nde4.framing import LengthMismatch as FrameLengthMismatch
 from nde4.gateway import MappingTable, UnmappedField, order_to_archive_work
 from nde4.identity import (
     InstanceId,
@@ -128,11 +130,11 @@ from nde4.semantics import (
     EncodingError,
     TagCode,
     UnknownStandardTag,
+    ValueLengthMismatch,
     encode_value,
     interpret,
     lookup,
 )
-from nde4.semantics import LengthMismatch as ValueLengthMismatch
 from nde4.sovereignty import (
     ACCEPT,
     DELETE,
@@ -146,8 +148,8 @@ from nde4.sovereignty import (
     UnknownContract,
     UsagePolicy,
     WrongConsumer,
+    WrongState,
 )
-from nde4.sovereignty import WrongState as ContractWrongState
 from nde4.timebase import BadDatetime, LogicalClock, format_tick, parse_datetime
 from nde4.transport import ConnectionClosed, recv_frame
 
@@ -605,36 +607,20 @@ def test_07_query_worklist_and_evaluation_oracles(tmp_path):
 
 # --- 8: every declared error has a trigger -------------------------------------
 
-_ERROR_MODULES = (
-    "errors",
-    "identity",
-    "timebase",
-    "semantics",
-    "registry",
-    "framing",
-    "messages",
-    "archive",
-    "bus",
-    "gateway",
-    "sovereignty",
-    "rami",
-    "transport",
-    "plantsim",
-)
-
-
 def _declared_errors() -> dict[str, type]:
+    """Every Nde4Error subclass declared in a module of the package, by
+    `module.Class`."""
     found: dict[str, type] = {}
-    for module_name in _ERROR_MODULES:
-        module = importlib.import_module(f"nde4.{module_name}")
+    for module_info in pkgutil.iter_modules(nde4.__path__):
+        module = importlib.import_module(f"nde4.{module_info.name}")
         for name, obj in vars(module).items():
             if (
                 inspect.isclass(obj)
                 and issubclass(obj, Nde4Error)
                 and obj is not Nde4Error
-                and obj.__module__ == f"nde4.{module_name}"
+                and obj.__module__ == module.__name__
             ):
-                found[f"{module_name}.{name}"] = obj
+                found[f"{module_info.name}.{name}"] = obj
     return found
 
 
@@ -739,7 +725,7 @@ def test_08_every_declared_error_is_triggered(tmp_path):
                 lambda: lookup(DICT_V1, TagCode(0x0008, 0x9999)),
             ),
             (
-                "semantics.LengthMismatch",
+                "semantics.ValueLengthMismatch",
                 lambda: interpret(grid_rows_def, b"\x01"),
             ),
             (
@@ -837,7 +823,7 @@ def test_08_every_declared_error_is_triggered(tmp_path):
                 ),
             ),
             (
-                "bus.WrongState",
+                "bus.WrongOrderState",
                 lambda: bus.report_values(
                     ReportedValues(
                         "ORD-E2", Verdict.ACCEPT, 0, archived_refs=("err-1",)
@@ -922,6 +908,9 @@ def test_08_every_declared_error_is_triggered(tmp_path):
         )
 
         declared = _declared_errors()
+        # errors are counted by class name, so no two classes share one
+        names = sorted(cls.__name__ for cls in set(declared.values()))
+        assert names == sorted(set(names)), "error classes share a name"
         triggered: set[str] = set()
         for dotted, trigger in checklist:
             cls = declared[dotted]

@@ -13,7 +13,7 @@ from nde4.bus import (
     Procedure,
     UnknownOrder,
     UnknownStation,
-    WrongState,
+    WrongOrderState,
     station_methods,
 )
 from nde4.errors import ValidationFailed
@@ -152,7 +152,7 @@ def test_assign_claims_exclusively(bus):
     bus.submit_order(order())
     bus.assign("ORD-7", station_id("unit-1"))
     assert bus.order_state("ORD-7") == OrderState.ASSIGNED
-    with pytest.raises(WrongState):
+    with pytest.raises(WrongOrderState):
         bus.assign("ORD-7", station_id("unit-1"))  # no longer QUEUED
     with pytest.raises(UnknownStation):
         bus.assign("ORD-7", station_id("ghost"))
@@ -160,7 +160,7 @@ def test_assign_claims_exclusively(bus):
 
 def test_preassigned_order_blocks_other_station(bus):
     bus.submit_order(order(station=station_id("unit-1")))
-    with pytest.raises(WrongState):
+    with pytest.raises(WrongOrderState):
         bus.assign("ORD-7", station_id("unit-2"))
     bus.assign("ORD-7", station_id("unit-1"))
 
@@ -246,7 +246,7 @@ def test_report_values_guards(bus, store, clock):
         ReportedValues("ORD-7", Verdict.ACCEPT, 0, archived_refs=("obj-1",))
     )
     # REPORTED is terminal for reporting too
-    with pytest.raises(WrongState):
+    with pytest.raises(WrongOrderState):
         bus.report_values(
             ReportedValues("ORD-7", Verdict.ACCEPT, 0, archived_refs=("obj-1",))
         )
@@ -273,7 +273,7 @@ def test_report_optional_keys_are_what_the_decoder_admits(bus, store, clock):
 def test_report_values_wrong_state_before_archive(bus, store):
     bus.submit_order(order())
     store.store(make_object(uid="obj-1"))
-    with pytest.raises(WrongState):
+    with pytest.raises(WrongOrderState):
         bus.report_values(
             ReportedValues("ORD-7", Verdict.ACCEPT, 0, archived_refs=("obj-1",))
         )

@@ -17,7 +17,7 @@ from nde4.semantics import (
     Dictionary,
     DuplicateDefinition,
     EncodingError,
-    LengthMismatch,
+    ValueLengthMismatch,
     MANDATORY_TAGS,
     MISSING_MANDATORY,
     MULTIPLICITY_VIOLATION,
@@ -179,9 +179,9 @@ def test_encode_multiplicity_n_requires_iterable():
 
 def test_u16_length_mismatch():
     definition = TagDefinition(TagCode(0x0040, 0x0001), "grid_rows", ValueRep.U16)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueLengthMismatch):
         interpret(definition, b"\x01")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueLengthMismatch):
         interpret(definition, b"\x01\x00\x00\x00")
 
 
@@ -189,7 +189,7 @@ def test_f32_length_mismatch():
     definition = TagDefinition(
         TagCode(0x0040, 0x0003), "grid", ValueRep.F32ARRAY, multiplicity="N"
     )
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueLengthMismatch):
         interpret(definition, b"\x00\x00\x00")
 
 
@@ -208,7 +208,7 @@ def test_datetime_values_are_checked():
     definition = TagDefinition(TagCode(0x0008, 0x0002), "at", ValueRep.DATETIME)
     with pytest.raises(EncodingError):
         encode_value(definition, "not-a-datetime!")
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueLengthMismatch):
         interpret(definition, b"short")
 
 
