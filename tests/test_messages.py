@@ -72,12 +72,15 @@ def test_report_round_trip_with_optional_keys():
     assert decoded != replace(rv, payload_ref="obj-4")  # the optional keys compare
     noted = ReportedValues("ORD-7", Verdict.ACCEPT, 0, notes="seam 3")
     assert decode_message(encode_message(noted)) == noted
+    # an absent maxAmplitude or archivedRefs takes its field's default
+    bare = b'{"indicationCount":0,"kind":"report","orderId":"ORD-7","verdict":"ACCEPT"}'
+    assert decode_message(bare) == ReportedValues("ORD-7", Verdict.ACCEPT, 0)
 
 
 def test_decode_refuses_the_retired_ack_and_error_kinds():
     for payload in (b'{"kind":"ack","of":"order","orderId":"ORD-7"}',
                     b'{"detail":"already submitted","code":"DuplicateOrder","kind":"error"}'):
-        with pytest.raises(MalformedMessage, match="kind"):
+        with pytest.raises(MalformedMessage, match="kind: unknown message kind"):
             decode_message(payload)
 
 
