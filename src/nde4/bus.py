@@ -260,7 +260,8 @@ class OrdersBus:
         )
 
     def publish_status(self, event: StatusEvent) -> None:
-        self._carry(event)
+        """Check and record the event, then carry its frame: a refused
+        event reaches no tap."""
         with self._lock:
             record = self._record(event.order_id)
             if not is_legal_transition(record.state, event.state):
@@ -268,6 +269,7 @@ class OrdersBus:
                     f"{record.state.value} -> {event.state.value}"
                 )
             self._record_event(record, event)
+        self._carry(event)
 
     def subscribe(self) -> Subscription:
         sub = Subscription()

@@ -329,6 +329,12 @@ def test_taps_see_wire_frames(bus):
     with pytest.raises(DuplicateOrder):
         bus.submit_order(order())
     assert len(frames) == 3 and frames[2] == frames[0]
+    # a refused status event carries no frame
+    with pytest.raises(IllegalTransition):
+        bus.publish_status(StatusEvent("ORD-7", OrderState.QUEUED, "20200101T000000"))
+    with pytest.raises(UnknownOrder):
+        bus.publish_status(StatusEvent("ORD-404", OrderState.ASSIGNED, "20200101T000000"))
+    assert len(frames) == 3
 
 
 def test_kpis_absent_until_reported(bus):
