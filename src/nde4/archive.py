@@ -18,14 +18,17 @@ store left that died before its chain line; reads ignore them,
 verify_chain reports them, and the next store cuts them off. There is no
 delete operation on the public surface, by design.
 
-Cost model: opening a store reads only "chain.log". The first fetch, query
-or store after an open reads the segment, in order, to find each record's
-(offset, length) and check its digest. The first query builds the index of
-each object's order id, component serial and method in a read of its own,
-walking every object's elements and decoding only the three key values: a
-query that follows a fetch or store reads and digests the segment again.
-Later fetches read one record each, later stores append one record and
-extend the index, and later queries read nothing.
+Cost model: opening a store reads only "chain.log", and hashes each line
+once. On a store opened on a chain, the first fetch, query or store reads
+the segment once, in order: it checks each record's digest, notes its
+(offset, length), and reads its order id, component serial and method into
+the query index, walking the object's elements without building them. A
+record that is not held, or whose keys do not read, leaves the index
+unbuilt and fails no fetch or store; each query then reads the segment
+again and raises why. A store that starts empty learns each record's span
+as it appends it and builds its index at its first query, in a read of its
+own. Later fetches read one record each, later stores append one record
+and extend the index, and later queries read nothing.
 """
 
 from __future__ import annotations
@@ -160,24 +163,28 @@ def encode_object(obj: DataObject) -> bytes:
     return b"".join(chunks)
 
 
-def _element_spans(data: bytes) -> list[tuple[int, int, int, int]]:
-    """Walk encoded object bytes: (group, element, start, end) of each
-    element, its value being data[start:end]. Every check of the object
-    form runs here, in this order: preamble, version, truncated header,
-    truncated value, strictly ascending (group, element)."""
+def _walk(data: bytes, keys: dict[int, int] | None) -> list:
+    """Walk encoded object bytes. Every check of the object form runs here,
+    in this order: preamble, version, truncated header, truncated value,
+    strictly ascending (group, element). With `keys` None, the object's
+    elements in order; else the value of each tag whose code
+    (group << 16 | element) `keys` maps to a position, at that position,
+    None where the tag is absent, with no tuple or list built per element."""
     if len(data) < 5 or data[:4] != PREAMBLE:
         raise BadPreamble(f"expected {PREAMBLE!r} preamble")
     if data[4] != OBJECT_VERSION:
         raise BadPreamble(f"unsupported object version {data[4]}")
     unpack = _ELEMENT_HEADER.unpack_from
+    new = tuple.__new__
     size = len(data)
-    spans = []
+    found = [] if keys is None else [None] * len(keys)
     previous = -1  # (group, element) as group << 16 | element; below every code
     offset = 5
     while offset < size:
-        if offset + 8 > size:
-            raise TruncatedElement(f"element header cut short at byte {offset}")
-        group, element_number, length = unpack(data, offset)
+        try:
+            group, element_number, length = unpack(data, offset)
+        except struct.error:
+            raise TruncatedElement(f"element header cut short at byte {offset}") from None
         offset += 8
         end = offset + length
         if end > size:
@@ -193,23 +200,28 @@ def _element_spans(data: bytes) -> list[tuple[int, int, int, int]]:
                 "strictly ascending required"
             )
         previous = code
-        spans.append((group, element_number, offset, end))
+        if keys is None:
+            # "<HH" yields only 16-bit values, so TagCode's range check is
+            # skipped, and Element has none: both are built as the tuples
+            # they are
+            code_pair = new(TagCode, (group, element_number))
+            found.append(new(Element, (code_pair, data[offset:end])))
+        else:
+            k = keys.get(code)
+            if k is not None:
+                found[k] = data[offset:end]
         offset = end
-    return spans
+    return found
 
 
 def decode_object(data: bytes) -> DataObject:
-    # "<HH" yields only 16-bit values, so TagCode's range check is skipped,
-    # and Element has none: both are built as the tuples they are
-    new = tuple.__new__
-    return DataObject(tuple([
-        new(Element, (new(TagCode, (group, element)), data[start:end]))
-        for group, element, start, end in _element_spans(data)
-    ]))
+    return DataObject(tuple(_walk(data, None)))
 
 
-# key position in _QueryIndex of each query tag
-_QUERY_TAGS = {TAG_ORDER_ID: 0, TAG_COMPONENT_SERIAL: 1, TAG_METHOD_CODE: 2}
+# the query tags in key order, as _QueryIndex holds them, and each one's
+# code as _walk matches it
+_QUERY_TAGS = (TAG_ORDER_ID, TAG_COMPONENT_SERIAL, TAG_METHOD_CODE)
+_QUERY_CODES = {tag.group << 16 | tag.element: k for k, tag in enumerate(_QUERY_TAGS)}
 
 
 def _query_keys(data: bytes) -> tuple[str | None, str | None, str | None]:
@@ -217,14 +229,11 @@ def _query_keys(data: bytes) -> tuple[str | None, str | None, str | None]:
     as decode_object(data) would give them, without building the object.
     The whole object is walked, so corrupt bytes anywhere raise what
     decode_object raises."""
-    spans: list[tuple[int, int] | None] = [None, None, None]
-    for group, element, start, end in _element_spans(data):
-        k = _QUERY_TAGS.get((group, element))
-        if k is not None:
-            spans[k] = (start, end)
-    return tuple(
-        None if span is None else utf8_text(data[span[0] : span[1]], tag)
-        for span, tag in zip(spans, _QUERY_TAGS)
+    order_id, serial, method = _walk(data, _QUERY_CODES)
+    return (
+        None if order_id is None else utf8_text(order_id, TAG_ORDER_ID),
+        None if serial is None else utf8_text(serial, TAG_COMPONENT_SERIAL),
+        None if method is None else utf8_text(method, TAG_METHOD_CODE),
     )
 
 
@@ -285,6 +294,12 @@ def parse_chain_line(line: str) -> ChainRecord:
     if record.line() != line:
         raise ValueError("line is not the canonical rendering of its fields")
     return record
+
+
+def _line_digest(line: str) -> bytes:
+    """The self digest a canonical chain line ends with, read back rather
+    than computed again: the digest of its record's canonical bytes."""
+    return bytes.fromhex(line[-64:])
 
 
 @dataclass(frozen=True, slots=True)
@@ -408,12 +423,18 @@ class Archive:
         self._uids: dict[str, bytes] = {}
         self._chain_damaged = False  # chain.log holds a line past the last parsed one
         # uid -> (offset, length) of its object bytes in the segment, and the
-        # offset past the last chained record: found by the first read
+        # offset past the last chained record. A store that starts empty
+        # learns them as it appends; one opened on a chain finds them, with
+        # the query index, in the pass of its first read
         self._spans: dict[str, tuple[int, int]] | None = None
         self._end = 0
-        self._index: _QueryIndex | None = None  # built by the first query
+        # built by that pass, or on a store that started empty by its first
+        # query; extended by each later store
+        self._index: _QueryIndex | None = None
         self._last_digest = ZERO_DIGEST
         self._reload()
+        if not self._uids:
+            self._spans = {}
 
     @property
     def directory(self) -> Path:
@@ -427,21 +448,25 @@ class Archive:
         and the query index wait for the first read."""
         for line in _chain_lines(self._chain_path()):
             try:
-                record = parse_chain_line(line.decode("utf-8"))
+                text = line.decode("utf-8")
+                record = parse_chain_line(text)
             except ValueError:  # UnicodeDecodeError included
                 self._chain_damaged = True
                 break  # verify_chain reports the damage; index stops here
             self._uids[record.object_uid] = record.object_digest
-            self._last_digest = digest(record.canonical_bytes())
+            self._last_digest = _line_digest(text)
 
-    def _scan(self, keys: bool) -> None:
+    def _scan(self) -> Nde4Error | None:
         """One sequential read of the segment's chained records; the caller
         holds the lock. Finds the span of each record whose bytes match its
         chain line's digest: any other is not held, whether damaged, cut
-        short or moved by a damaged or missing record before it. With
-        `keys` builds the query index, which fails if a record is not held."""
+        short or moved by a damaged or missing record before it. In the
+        same pass reads each held record's query keys into the index. The
+        index is kept only if every record is held and its keys read; else
+        this returns the error a query raises, and the index stays unbuilt."""
         spans: dict[str, tuple[int, int]] = {}
         index = _QueryIndex()
+        failure: Nde4Error | None = None
         end = 0
         with closing(_segment_records(self._segment)) as records:
             for (uid, expected), (offset, data) in zip(self._uids.items(), records):
@@ -451,13 +476,17 @@ class Archive:
                 if digest(data) != expected:
                     continue
                 spans[uid] = (offset, len(data))
-                if keys:
-                    index.add(uid, _query_keys(data))
+                if failure is None:
+                    try:
+                        index.add(uid, _query_keys(data))
+                    except Nde4Error as exc:
+                        failure = exc
         self._spans, self._end = spans, end
-        if keys:
-            if len(spans) < len(self._uids):
-                raise _unheld(next(uid for uid in self._uids if uid not in spans))
+        if failure is None and len(spans) < len(self._uids):
+            failure = _unheld(next(uid for uid in self._uids if uid not in spans))
+        if failure is None:
             self._index = index
+        return failure
 
     def object_span(self, uid: str) -> tuple[int, int]:
         """(offset, length) of a committed object's bytes in the segment."""
@@ -465,7 +494,7 @@ class Archive:
             if uid not in self._uids:
                 raise UnknownUID(uid)
             if self._spans is None:
-                self._scan(keys=False)
+                self._scan()
             span = self._spans.get(uid)
         if span is None:
             raise _unheld(uid)
@@ -498,7 +527,7 @@ class Archive:
             if uid in self._uids:
                 raise DuplicateUID(uid)
             if self._spans is None:
-                self._scan(keys=False)
+                self._scan()
             if self._chain_damaged or len(self._spans) < len(self._uids):
                 raise UnreadableObject(
                     "chained records cannot be read; nothing is appended after them"
@@ -510,10 +539,8 @@ class Archive:
                 prev_digest=self._last_digest,
                 stored_at=self._clock.now_text(),
             )
-            self._append(
-                _RECORD_HEADER.pack(len(encoded)) + encoded,
-                record.line().encode("utf-8"),
-            )
+            line = record.line()
+            self._append(_RECORD_HEADER.pack(len(encoded)) + encoded, line.encode("utf-8"))
             self._spans[uid] = (self._end + _RECORD_HEADER.size, len(encoded))
             self._end += _RECORD_HEADER.size + len(encoded)
             self._uids[uid] = record.object_digest
@@ -521,7 +548,7 @@ class Archive:
                 self._index.add(
                     uid, (obj.order_id, obj.component_serial, obj.method_code)
                 )
-            self._last_digest = digest(record.canonical_bytes())
+            self._last_digest = _line_digest(line)
         return uid
 
     def _append(self, record: bytes, line: bytes) -> None:
@@ -566,8 +593,8 @@ class Archive:
         with self._lock:
             if criteria == (None, None, None):
                 return tuple(self._uids)
-            if self._index is None:
-                self._scan(keys=True)
+            if self._index is None and (failure := self._scan()) is not None:
+                raise failure
             return self._index.match(criteria)
 
     def verify_chain(self) -> VerifyResult:
@@ -582,7 +609,8 @@ class Archive:
             prev = ZERO_DIGEST
             for k, line in enumerate(lines):
                 try:
-                    record = parse_chain_line(line.decode("utf-8"))
+                    text = line.decode("utf-8")
+                    record = parse_chain_line(text)
                 except ValueError:  # UnicodeDecodeError included
                     return VerifyResult(False, k, len(lines))
                 _, data = next(records, (None, None))
@@ -593,7 +621,7 @@ class Archive:
                     or digest(data) != record.object_digest
                 ):
                     return VerifyResult(False, k, len(lines))
-                prev = digest(record.canonical_bytes())
+                prev = _line_digest(text)
             if next(records, None) is not None:
                 return VerifyResult(False, len(lines), len(lines))
         return VerifyResult(True, None, len(lines))

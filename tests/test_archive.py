@@ -644,9 +644,11 @@ def test_corrupt_object_file_fails_the_index_build(store, clock):
         decode_object(damaged)
     # the record fails its chain digest, so it is not held; with a chain
     # that agrees with it, the index build decodes it and fails on it. A
-    # failed index build leaves no index behind: the next query fails too
+    # failed index build leaves no index behind: the next query fails too.
+    # A fetch that makes the first read of the segment does not fail on it
     for error in (UnreadableObject, TruncatedElement):
         reopened = Archive(store.directory, clock)
+        assert reopened.fetch("obj-1") == make_object(uid="obj-1")
         for _ in range(2):
             with pytest.raises(error) as queried:
                 reopened.query(order_id="ORD-7")

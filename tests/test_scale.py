@@ -87,16 +87,20 @@ def test_archive_open_reads_no_object_and_queries_read_each_once(tmp_path, monke
     size = (store.directory / SEGMENT_FILE).stat().st_size
     record = record_range(store.directory, "obj-7")
     opens.clear()
+
+    def read_once_front_to_back(reads) -> None:
+        position = 0
+        for call, offset, count in reads:
+            assert (call, offset) == ("read", position) and count <= READ_SIZE
+            position += count
+        assert position == size
+
     reopened = Archive(store.directory)
     assert len(reopened.uids()) == LARGE
     assert not segment_reads
     # the first query reads the segment once, front to back, in chunks
     assert reopened.query(order_id="ORD-7") == ("obj-7", f"obj-{7 + orders}")
-    position = 0
-    for call, offset, count in segment_reads:
-        assert (call, offset) == ("read", position) and count <= READ_SIZE
-        position += count
-    assert position == size
+    read_once_front_to_back(segment_reads)
     segment_reads.clear()
     for n in range(100):
         assert reopened.query(order_id=f"ORD-{n}", method="UT") == (
@@ -104,7 +108,18 @@ def test_archive_open_reads_no_object_and_queries_read_each_once(tmp_path, monke
     assert not segment_reads
     # a fetch reads its own record's object bytes, and nothing else
     reopened.fetch_bytes("obj-7")
-    assert segment_reads == [("pread", record.start + 4, len(record) - 4)]
+    fetch_read = ("pread", record.start + 4, len(record) - 4)
+    assert segment_reads == [fetch_read]
+    # when a fetch is the first read, it reads the segment once, front to
+    # back, in chunks, then its own record; the query after it reads nothing
+    segment_reads.clear()
+    reopened = Archive(store.directory)
+    reopened.fetch_bytes("obj-7")
+    assert segment_reads[-1] == fetch_read
+    read_once_front_to_back(segment_reads[:-1])
+    segment_reads.clear()
+    assert reopened.query(order_id="ORD-7") == ("obj-7", f"obj-{7 + orders}")
+    assert not segment_reads
     assert not opens
 
 
