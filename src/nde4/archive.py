@@ -163,7 +163,9 @@ def encode_object(obj: DataObject) -> bytes:
     return b"".join(chunks)
 
 
-def _walk(data: bytes, keys: dict[int, int] | None) -> list:
+def _walk(
+    data: bytes, keys: dict[int, int] | None
+) -> list[Element] | list[bytes | None]:
     """Walk encoded object bytes. Every check of the object form runs here,
     in this order: preamble, version, truncated header, truncated value,
     strictly ascending (group, element). With `keys` None, the object's
@@ -229,12 +231,11 @@ def _query_keys(data: bytes) -> tuple[str | None, str | None, str | None]:
     as decode_object(data) would give them, without building the object.
     The whole object is walked, so corrupt bytes anywhere raise what
     decode_object raises."""
-    order_id, serial, method = _walk(data, _QUERY_CODES)
-    return (
-        None if order_id is None else utf8_text(order_id, TAG_ORDER_ID),
-        None if serial is None else utf8_text(serial, TAG_COMPONENT_SERIAL),
-        None if method is None else utf8_text(method, TAG_METHOD_CODE),
-    )
+    values = _walk(data, _QUERY_CODES)
+    for k, raw in enumerate(values):
+        if raw is not None:
+            values[k] = utf8_text(raw, _QUERY_TAGS[k])
+    return tuple(values)
 
 
 # --- digest chain ------------------------------------------------------------

@@ -180,7 +180,9 @@ class OrdersBus:
 
     def _carry(self, message) -> None:
         """Push a message through real framing so cap and taps apply."""
-        frame_bytes = encode_frame(Channel.ORDERS, encode_message(message))
+        self._tap(encode_frame(Channel.ORDERS, encode_message(message)))
+
+    def _tap(self, frame_bytes: bytes) -> None:
         for tap_fn in list(self._taps):
             tap_fn(frame_bytes)
 
@@ -260,8 +262,10 @@ class OrdersBus:
         )
 
     def publish_status(self, event: StatusEvent) -> None:
-        """Check and record the event, then carry its frame: a refused
-        event reaches no tap."""
+        """Frame the event, check and record it, then hand the frame to the
+        taps: an event that fails to frame changes no state, and a refused
+        one reaches no tap."""
+        frame_bytes = encode_frame(Channel.ORDERS, encode_message(event))
         with self._lock:
             record = self._record(event.order_id)
             if not is_legal_transition(record.state, event.state):
@@ -269,7 +273,7 @@ class OrdersBus:
                     f"{record.state.value} -> {event.state.value}"
                 )
             self._record_event(record, event)
-        self._carry(event)
+        self._tap(frame_bytes)
 
     def subscribe(self) -> Subscription:
         sub = Subscription()

@@ -17,7 +17,7 @@ from nde4.bus import (
     station_methods,
 )
 from nde4.errors import ValidationFailed
-from nde4.framing import decode_frame
+from nde4.framing import ORDERS_PAYLOAD_LIMIT, OversizedPayload, decode_frame
 from nde4.identity import InstanceId, TypeId
 from nde4.messages import (
     InspectionOrder,
@@ -335,6 +335,16 @@ def test_taps_see_wire_frames(bus):
     with pytest.raises(UnknownOrder):
         bus.publish_status(StatusEvent("ORD-404", OrderState.ASSIGNED, "20200101T000000"))
     assert len(frames) == 3
+    # an event whose frame would pass the ORDERS cap changes no state
+    events = bus.subscribe()
+    with pytest.raises(OversizedPayload):
+        bus.publish_status(
+            StatusEvent("ORD-7", OrderState.ASSIGNED, "x" * ORDERS_PAYLOAD_LIMIT)
+        )
+    assert len(frames) == 3
+    assert bus.order_state("ORD-7") == OrderState.QUEUED
+    assert [e.state for e in bus.history("ORD-7")] == [OrderState.QUEUED]
+    assert events.drain() == []
 
 
 def test_kpis_absent_until_reported(bus):
