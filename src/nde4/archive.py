@@ -464,7 +464,10 @@ class Archive:
         short or moved by a damaged or missing record before it. In the
         same pass reads each held record's query keys into the index. The
         index is kept only if every record is held and its keys read; else
-        this returns the error a query raises, and the index stays unbuilt."""
+        this returns the error a query raises, and the index stays unbuilt.
+        Keys are read even for a fetch. On a store that is later queried
+        this costs less than a second read at the first query; on one that
+        never is, it is waste (the trade-off is measured in BENCH_30.json)."""
         spans: dict[str, tuple[int, int]] = {}
         index = _QueryIndex()
         failure: Nde4Error | None = None
